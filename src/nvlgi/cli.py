@@ -9,6 +9,8 @@ import csv
 import dataclasses
 import io
 import json
+import math
+import os
 import secrets
 import sys
 from datetime import datetime, timezone
@@ -52,29 +54,37 @@ LUDERS_BOUND = 1.5
 REFERENCE_K3_EXP = 1.625
 REFERENCE_K3_SIM = 1.632
 
+# config key -> accepted value types; a float must also be finite
 CONFIG_KEYS = {
-    "theta",
-    "t2_star",
-    "pol_e",
-    "pol_n",
-    "flip_prob_p",
-    "n_samples",
-    "seed",
-    "averaging",
-    "f_rabi",
+    "theta": (str, int, float),
+    "t2_star": (int, float, type(None)),
+    "pol_e": (int, float),
+    "pol_n": (int, float),
+    "flip_prob_p": (int, float),
+    "n_samples": (int,),
+    "seed": (int,),
+    "averaging": (str,),
+    "f_rabi": (int, float),
 }
+
+# keys that set an ImperfectionModel field directly; each is also a CLI option
+MODEL_KEYS = ("t2_star", "pol_e", "pol_n", "flip_prob_p", "n_samples")
 
 
 class UsageError(ValueError):
     pass
 
 
-def parse_theta(text: str) -> float:
-    """Accept '0.416pi' (canonical) or a plain number in radians."""
-    text = text.strip().lower()
-    if text.endswith("pi"):
-        return float(text[:-2] or "1") * np.pi
-    return float(text)
+def parse_theta(text: str | float) -> float:
+    """Accept '0.416pi' (canonical) or a plain number in radians; must be finite."""
+    if isinstance(text, str):
+        text = text.strip().lower()
+        theta = float(text[:-2] or "1") * np.pi if text.endswith("pi") else float(text)
+    else:
+        theta = float(text)
+    if not math.isfinite(theta):
+        raise UsageError(f"theta must be finite, got {theta}")
+    return theta
 
 
 def format_theta(theta: float) -> str:
@@ -91,7 +101,7 @@ def _result_record(command: str, inputs: dict, outputs: dict, seed, seeded: bool
 
 def _emit(record: dict, curves: dict[str, list] | None, args) -> None:
     if args.format == "json":
-        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -114,9 +124,6 @@ def _emit(record: dict, curves: dict[str, list] | None, args) -> None:
 def _resolve_seed(args) -> tuple[int, bool]:
     if args.seed is not None:
         return args.seed, True
-    env = None
-    import os
-
     env = os.environ.get("NVLGI_SEED")
     if env is not None:
         return int(env), True
@@ -124,19 +131,28 @@ def _resolve_seed(args) -> tuple[int, bool]:
 
 
 def load_config(path: str | None, args) -> dict:
-    """Merge YAML config and CLI overrides; unknown keys are rejected."""
+    """Merge YAML config and CLI overrides; unknown keys and bad values are rejected."""
     cfg: dict = {}
     if path:
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
-        unknown = set(raw) - CONFIG_KEYS
+        if not isinstance(raw, dict):
+            raise UsageError(f"config {path} must be a mapping of keys to values")
+        unknown = set(raw) - CONFIG_KEYS.keys()
         if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            raise UsageError(f"unknown config keys: {sorted(map(str, unknown))}")
         cfg.update(raw)
-    for key in ("t2_star", "pol_e", "pol_n", "flip_prob_p", "n_samples"):
+    for key in MODEL_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    for key, value in cfg.items():
+        kinds = CONFIG_KEYS[key]
+        if isinstance(value, bool) or not isinstance(value, kinds) or (
+            isinstance(value, float) and not math.isfinite(value)
+        ):
+            names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+            raise UsageError(f"config {key} must be a finite {names}, got {value!r}")
     return cfg
 
 
@@ -144,6 +160,10 @@ def _scheme(args):
     rule = UpdateRule.LUDERS if args.scheme == "luders" else UpdateRule.VON_NEUMANN
     build = standard_qubit_scheme if args.system == "qubit" else standard_qutrit_scheme
     return build(rule)
+
+
+def _correlator_outputs(c) -> dict:
+    return {"q2": c.q2_mean, "q2q3": c.q2q3_mean, "q3": c.q3_mean, "k3": c.k3}
 
 
 def cmd_ideal(args) -> int:
@@ -164,13 +184,7 @@ def cmd_ideal(args) -> int:
         theta = parse_theta(args.theta)
         inputs["theta"] = format_theta(theta)
         if args.n == 3:
-            c = k3_protocol(theta, scheme)
-            outputs = {
-                "q2": c.q2_mean,
-                "q2q3": c.q2q3_mean,
-                "q3": c.q3_mean,
-                "k3": c.k3,
-            }
+            outputs = _correlator_outputs(k3_protocol(theta, scheme))
             if args.system == "qutrit" and args.scheme == "neumann":
                 outputs["k3_analytic"] = analytic_correlators(theta).k3
         else:
@@ -188,27 +202,14 @@ def cmd_nv(args) -> int:
     if args.ideal:
         model = ImperfectionModel.ideal()
     else:
-        model = ImperfectionModel(
-            t2_star=cfg.get("t2_star", 62e-6),
-            pol_e=cfg.get("pol_e", 0.95),
-            pol_n=cfg.get("pol_n", 0.98),
-            flip_prob_p=cfg.get("flip_prob_p", 0.995),
-            n_samples=cfg.get("n_samples", 21),
-            seed=seed,
-            averaging=Averaging(cfg.get("averaging", "gauss-hermite")),
-        )
-    if model.flip_prob_p == 0.0:
-        raise DegeneratePostselectionError(
-            "flip probability 0: the controlled gate never marks the ancilla"
-        )
+        fields = {key: cfg[key] for key in MODEL_KEYS if key in cfg}
+        if "averaging" in cfg:
+            fields["averaging"] = Averaging(cfg["averaging"])
+        model = ImperfectionModel(seed=seed, **fields)
     table = population_table(theta, model, f_rabi=cfg.get("f_rabi", 20e3))
     correlators = assemble_lg(table)
     weights = postselected_weights(table)
-    outputs = {
-        "q2": correlators.q2_mean,
-        "q2q3": correlators.q2q3_mean,
-        "q3": correlators.q3_mean,
-        "k3": correlators.k3,
+    outputs = _correlator_outputs(correlators) | {
         "postselected_weights": weights.tolist(),
         "k3_exp_reference": REFERENCE_K3_EXP,
         "k3_sim_reference": REFERENCE_K3_SIM,
@@ -247,29 +248,23 @@ def cmd_characterize(args) -> int:
             "min_p0": float(curve[:, 1].min()),
         }
         rows = [["freq_hz", "p0"]] + [[f"{f:.6f}", f"{v:.9g}"] for f, v in curve]
-        record = _result_record("characterize", inputs, outputs, seed, seeded)
-        _emit(record, {"odmr": rows}, args)
-        return EXIT_OK
-    if args.kind == "cg-repeat":
+    elif args.kind == "cg-repeat":
         curve = repeated_cg(args.kmax, args.p, readout_sigma=args.noise, rng=rng)
         p_hat, p_err = fit_flip_probability(curve)
         inputs = {"kind": "cg-repeat", "p": args.p, "kmax": args.kmax, "noise": args.noise}
         outputs = {"p_hat": p_hat, "p_err": p_err}
         rows = [["k", "p0"]] + [[int(k), f"{v:.9g}"] for k, v in curve]
-        record = _result_record("characterize", inputs, outputs, seed, seeded)
-        _emit(record, {"cg_repeat": rows}, args)
-        return EXIT_OK
-    # fid
-    t2 = args.t2star
-    model = ImperfectionModel(t2_star=t2, seed=seed)
-    t_grid = np.linspace(0.0, 2.0 * t2, args.points)
-    curve = fid_curve(model, t_grid, delta_ref=args.delta_ref, readout_sigma=args.noise, rng=rng)
-    t2_hat, t2_err = fit_gaussian_decay(curve)
-    inputs = {"kind": "fid", "t2_star": t2, "delta_ref": args.delta_ref, "noise": args.noise}
-    outputs = {"t2_star_hat": t2_hat, "t2_star_err": t2_err}
-    rows = [["t_s", "p0"]] + [[f"{t:.9g}", f"{v:.9g}"] for t, v in curve]
+    else:
+        t2 = args.t2star
+        model = ImperfectionModel(t2_star=t2, seed=seed)
+        t_grid = np.linspace(0.0, 2.0 * t2, args.points)
+        curve = fid_curve(model, t_grid, args.delta_ref, readout_sigma=args.noise, rng=rng)
+        t2_hat, t2_err = fit_gaussian_decay(curve)
+        inputs = {"kind": "fid", "t2_star": t2, "delta_ref": args.delta_ref, "noise": args.noise}
+        outputs = {"t2_star_hat": t2_hat, "t2_star_err": t2_err}
+        rows = [["t_s", "p0"]] + [[f"{t:.9g}", f"{v:.9g}"] for t, v in curve]
     record = _result_record("characterize", inputs, outputs, seed, seeded)
-    _emit(record, {"fid": rows}, args)
+    _emit(record, {args.kind.replace("-", "_"): rows}, args)
     return EXIT_OK
 
 
@@ -339,9 +334,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

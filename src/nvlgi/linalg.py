@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-10
 UNITARITY_TOL = 1e-10
 
 SQRT2 = np.sqrt(2.0)
@@ -44,11 +42,6 @@ def spin1_operators() -> SpinOps:
     return SpinOps(sx=sx, sz=sz, iz_sq=sz @ sz)
 
 
-def spin_half_sx() -> np.ndarray:
-    """Spin-1/2 x operator (sigma_x / 2), for the qubit-analogue protocol."""
-    return np.array([[0, 0.5], [0.5, 0]], dtype=complex)
-
-
 def matrix_exp(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * m) for a square matrix of dimension <= 16.
 
@@ -62,26 +55,29 @@ def matrix_exp(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     return scipy.linalg.expm(scale * m)
 
 
-def rotation_unitary(theta: float, dim: int = 3) -> np.ndarray:
+def rotation_unitary(theta: float | np.ndarray, dim: int = 3) -> np.ndarray:
     """Rotation exp(-i*theta*Sx) for spin-1 (dim=3) or spin-1/2 (dim=2).
 
-    The spin-1 form is closed: corner entries (cos(theta)-1)/2 and
-    (cos(theta)+1)/2, centre cos(theta), edges -i*sin(theta)/sqrt(2).
+    ``theta`` may be a scalar or an array; the result has shape
+    ``theta.shape + (dim, dim)``. The spin-1 form is closed: corner entries
+    (cos(theta)-1)/2 and (cos(theta)+1)/2, centre cos(theta), edges
+    -i*sin(theta)/sqrt(2).
     """
-    c, s = np.cos(theta), np.sin(theta)
+    if dim not in (2, 3):
+        raise ValueError(f"rotation_unitary supports dim 2 or 3, got {dim}")
+    theta = np.asarray(theta, dtype=float)
+    u = np.empty(theta.shape + (dim, dim), dtype=complex)
     if dim == 3:
-        e = -1j * s / SQRT2
-        return np.array(
-            [
-                [(1 + c) / 2, e, (c - 1) / 2],
-                [e, c, e],
-                [(c - 1) / 2, e, (1 + c) / 2],
-            ]
-        )
-    if dim == 2:
+        c, s = np.cos(theta), np.sin(theta)
+        u[..., 0, 0] = u[..., 2, 2] = (1 + c) / 2
+        u[..., 0, 2] = u[..., 2, 0] = (c - 1) / 2
+        u[..., 1, 1] = c
+        u[..., 0, 1] = u[..., 1, 0] = u[..., 1, 2] = u[..., 2, 1] = -1j * (s / SQRT2)
+    else:
         ch, sh = np.cos(theta / 2), np.sin(theta / 2)
-        return np.array([[ch, -1j * sh], [-1j * sh, ch]])
-    raise ValueError(f"rotation_unitary supports dim 2 or 3, got {dim}")
+        u[..., 0, 0] = u[..., 1, 1] = ch
+        u[..., 0, 1] = u[..., 1, 0] = -1j * sh
+    return u
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,20 +120,6 @@ def expectation(rho: np.ndarray, observable: np.ndarray) -> float:
     if abs(value.imag) > TRACE_TOL:
         raise ValueError(f"expectation has imaginary residue {value.imag:g}")
     return float(value.real)
-
-
-def check_density_matrix(rho: np.ndarray, *, name: str = "rho") -> None:
-    """Raise if rho is not Hermitian, trace-one, positive semidefinite."""
-    rho = np.asarray(rho, dtype=complex)
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > HERMITICITY_TOL:
-        raise ValueError(f"{name} not Hermitian: max deviation {herm:g}")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name} trace {tr:g} != 1")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"{name} has negative eigenvalue {evals.min():g}")
 
 
 def check_unitary(u: np.ndarray, *, name: str = "u") -> None:

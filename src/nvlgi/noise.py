@@ -15,9 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.optimize
 
-from .linalg import matrix_exp, rotation_unitary, tensor
-
-SQRT2 = np.sqrt(2.0)
+from .linalg import SQRT2, matrix_exp, rotation_unitary, tensor
 
 
 class Averaging(enum.Enum):

@@ -10,11 +10,11 @@ The initialized/postselected electron manifold |0>e covers levels 4-6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import rotation_unitary, spin1_operators, tensor
+from .linalg import SQRT2, rotation_unitary, spin1_operators, tensor
 from .noise import (
     ImperfectionModel,
     electron_sz,
@@ -22,8 +22,6 @@ from .noise import (
     sample_detunings,
 )
 from .protocol import CorrelatorSet
-
-SQRT2 = np.sqrt(2.0)
 
 GAMMA_E_HZ_PER_G = 2.8025e6  # electron gyromagnetic ratio
 GAMMA_N_HZ_PER_G = 307.7  # 14N nuclear gyromagnetic ratio
@@ -89,20 +87,15 @@ class PulseParams:
 
     theta: float
     f_rabi: float = 20e3
-    model: NvModel = field(default_factory=NvModel)
+
+    def __post_init__(self) -> None:
+        if not self.f_rabi > 0:
+            raise ValueError(f"f_rabi must be positive, got {self.f_rabi}")
 
     @property
     def u_duration(self) -> float:
         """RF pulse length for theta = sqrt(2)*pi*f_rabi*t."""
         return self.theta / (SQRT2 * np.pi * self.f_rabi)
-
-    @property
-    def mw_freq(self) -> float:
-        return self.model.mw_transition(0)
-
-    @property
-    def rf_freqs(self) -> tuple[float, float]:
-        return self.model.rf_transitions()
 
 
 def build_nv_hamiltonian(model: NvModel) -> np.ndarray:
@@ -183,15 +176,24 @@ def run_inrm_experiment(
     if cg_variant not in (1, 2, 3, 4):
         raise ValueError(f"cg_variant must be 1..4, got {cg_variant}")
     model = imperfections or ImperfectionModel.ideal()
+    u_duration = PulseParams(theta=theta, f_rabi=f_rabi).u_duration
+    return _inrm_sequence(nuclear_rotation(theta), u_duration, cg_variant, model, delta0, mw_rabi)
+
+
+def _inrm_sequence(
+    u: np.ndarray,
+    u_duration: float,
+    cg_variant: int,
+    model: ImperfectionModel,
+    delta0: float,
+    mw_rabi: float | None,
+) -> np.ndarray:
+    """``run_inrm_experiment`` with the theta-only rotation and RF pulse length prebuilt."""
     rho = imperfect_initial_state(model)
-    pulse = PulseParams(theta=theta, f_rabi=f_rabi)
-    u = nuclear_rotation(theta)
     if delta0 != 0.0:
         # quasi-static detuning phase during the RF pulse; commutes with the
         # drive and is diagonal, so it multiplies rows directly
-        phase = np.exp(
-            -1j * 2 * np.pi * delta0 * pulse.u_duration * np.diag(electron_sz(6)).real
-        )
+        phase = np.exp(-1j * 2 * np.pi * delta0 * u_duration * np.diag(electron_sz(6)).real)
         u = phase[:, None] * u
     rho = u @ rho @ u.conj().T
     if cg_variant != 4:
@@ -212,16 +214,25 @@ def population_table(
     """6x4 table P[i][j]: level populations for the four experiment variants.
 
     Columns are averaged over the detuning ensemble of the imperfection
-    model (deterministic given seed and averaging mode).
+    model (deterministic given seed and averaging mode). Raises
+    ``DegeneratePostselectionError`` for flip probability 0, where the
+    postselected populations would overcount every outcome.
     """
     model = imperfections or ImperfectionModel.ideal()
+    if model.flip_prob_p == 0.0:
+        raise DegeneratePostselectionError(
+            "flip probability 0: the controlled gate never marks the ancilla, "
+            "so the postselected populations overcount every outcome"
+        )
     samples = sample_detunings(model)
+    u = nuclear_rotation(theta)
+    u_duration = PulseParams(theta=theta, f_rabi=f_rabi).u_duration
     table = np.zeros((6, 4))
     for j in range(1, 5):
         col = np.zeros(6)
         comp = np.zeros(6)
         for s in samples:
-            pops = run_inrm_experiment(theta, j, model, s.delta0, f_rabi, mw_rabi)
+            pops = _inrm_sequence(u, u_duration, j, model, s.delta0, mw_rabi)
             term = s.weight * pops - comp
             new = col + term
             comp = (new - col) - term
@@ -267,13 +278,7 @@ def lg_run(
     mw_rabi: float | None = None,
 ) -> CorrelatorSet:
     """Full experiment: four variants under the imperfection model, assembled K3."""
-    model = imperfections or ImperfectionModel.ideal()
-    if model.flip_prob_p == 0.0:
-        raise DegeneratePostselectionError(
-            "flip probability 0: the controlled gate never marks the ancilla, "
-            "so the postselected populations overcount every outcome"
-        )
-    return assemble_lg(population_table(theta, model, f_rabi, mw_rabi))
+    return assemble_lg(population_table(theta, imperfections, f_rabi, mw_rabi))
 
 
 def _pulse_flip_prob(detuning: float, rabi: float) -> float:

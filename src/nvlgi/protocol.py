@@ -11,18 +11,14 @@ and the search for the violation-maximising rotation angle.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    basis_projector,
-    basis_state,
-    evolve,
-    rotation_unitary,
-)
+from .linalg import basis_projector, basis_state, rotation_unitary
 
 PROJECTOR_TOL = 1e-10
 BRANCH_PROB_FLOOR = 1e-14
@@ -44,6 +40,9 @@ class MeasurementScheme:
     ``projectors`` maps labels to rank->=1 projectors; ``outcome_of_label``
     assigns each label +1 or -1; ``update_rule`` selects how the
     post-measurement state is formed for degenerate outcomes.
+
+    States passed to the update and to ``<Q>`` may be stacked: any leading
+    axes are carried through.
     """
 
     projectors: tuple[tuple[str, np.ndarray], ...]
@@ -54,20 +53,15 @@ class MeasurementScheme:
     def dim(self) -> int:
         return self.projectors[0][1].shape[0]
 
-    def labels_for(self, outcome: int) -> list[str]:
-        return [lab for lab, v in self.outcome_of_label.items() if v == outcome]
+    @functools.cached_property
+    def _update_ops(self) -> dict[int, list[np.ndarray]]:
+        """Operators K, post state sum K rho K, for each outcome (rules as in ``measure``).
 
-    def projector_of(self, label: str) -> np.ndarray:
-        for lab, p in self.projectors:
-            if lab == label:
-                return p
-        raise KeyError(label)
-
-    def validate(self) -> None:
-        if getattr(self, "_validated", False):
-            return
+        Checks the scheme first; a failed check raises and caches nothing, so
+        it raises again on the next use. An outcome with no projectors gets
+        the zero operator.
+        """
         total = np.zeros((self.dim, self.dim), dtype=complex)
-        mats = [p for _, p in self.projectors]
         for lab, p in self.projectors:
             if np.abs(p - p.conj().T).max() > PROJECTOR_TOL:
                 raise InvalidSchemeError(f"projector {lab!r} not Hermitian")
@@ -78,24 +72,35 @@ class MeasurementScheme:
             if self.outcome_of_label[lab] not in (+1, -1):
                 raise InvalidSchemeError(f"outcome for {lab!r} must be +1 or -1")
             total += p
-        for i, a in enumerate(mats):
-            for b in mats[i + 1 :]:
-                if np.abs(a @ b).max() > PROJECTOR_TOL:
-                    raise InvalidSchemeError("projectors not mutually orthogonal")
+        for (_, a), (_, b) in itertools.combinations(self.projectors, 2):
+            if np.abs(a @ b).max() > PROJECTOR_TOL:
+                raise InvalidSchemeError("projectors not mutually orthogonal")
         if np.abs(total - np.eye(self.dim)).max() > PROJECTOR_TOL:
             raise InvalidSchemeError("projectors do not sum to identity")
-        object.__setattr__(self, "_validated", True)
+        zero = np.zeros_like(total)
+        ops = {
+            v: [p for lab, p in self.projectors if self.outcome_of_label[lab] == v] or [zero]
+            for v in (+1, -1)
+        }
+        if self.update_rule is UpdateRule.LUDERS:
+            return {v: [sum(ps)] for v, ps in ops.items()}
+        return ops
 
-    def outcome_projectors(self, outcome: int) -> list[np.ndarray]:
-        """Projectors grouped into one dichotomic outcome, cached."""
-        cache = getattr(self, "_grouped", None)
-        if cache is None:
-            cache = {
-                v: [self.projector_of(lab) for lab in self.labels_for(v)]
-                for v in (+1, -1)
-            }
-            object.__setattr__(self, "_grouped", cache)
-        return cache[outcome]
+    @functools.cached_property
+    def _observable(self) -> np.ndarray:
+        """Q = sum of outcome * P over all projectors."""
+        return sum(v * p for v, ps in self._update_ops.items() for p in ps)
+
+    def validate(self) -> None:
+        self._update_ops
+
+    def _post_state(self, rho: np.ndarray, outcome: int) -> np.ndarray:
+        """Unnormalised post-measurement state; its trace is the outcome probability."""
+        return sum(k @ rho @ k for k in self._update_ops[outcome])
+
+    def _mean_q(self, rho: np.ndarray) -> np.ndarray:
+        """<Q> = tr(rho Q), without forming branches."""
+        return np.einsum("...ij,ji->...", rho, self._observable).real
 
 
 @dataclass(frozen=True)
@@ -166,18 +171,9 @@ def measure(rho: np.ndarray, scheme: MeasurementScheme) -> list[MeasurementBranc
     coherence is destroyed). Luders: the summed projector is applied once
     (coherence inside the outcome eigenspace survives).
     """
-    scheme.validate()
     branches = []
     for outcome in (+1, -1):
-        projs = scheme.outcome_projectors(outcome)
-        if not projs:
-            branches.append(MeasurementBranch(outcome, 0.0, None))
-            continue
-        if scheme.update_rule is UpdateRule.VON_NEUMANN:
-            post = sum(p @ rho @ p for p in projs)
-        else:
-            block = sum(projs)
-            post = block @ rho @ block
+        post = scheme._post_state(rho, outcome)
         prob = float(np.trace(post).real)
         if prob > BRANCH_PROB_FLOOR:
             branches.append(MeasurementBranch(outcome, prob, post / prob))
@@ -186,13 +182,40 @@ def measure(rho: np.ndarray, scheme: MeasurementScheme) -> list[MeasurementBranc
     return branches
 
 
-def _mean_q(rho: np.ndarray, scheme: MeasurementScheme) -> float:
-    """<Q> without branch construction: sum of outcome * tr(rho P)."""
-    total = 0.0
-    for outcome in (+1, -1):
-        for p in scheme.outcome_projectors(outcome):
-            total += outcome * np.vdot(p.T, rho).real  # tr(rho P), P Hermitian
-    return total
+def _lg_terms(
+    theta: float | np.ndarray,
+    n: int,
+    scheme: MeasurementScheme,
+    *,
+    measure_at_t2_for_q3: bool = False,
+) -> list[np.ndarray]:
+    """The n terms of the LG string, elementwise over a scalar or array theta.
+
+    The system starts in the top basis state, so Q(t1) = +1 and term 1 is
+    <Q(t2)>. Term k (2 <= k < n) is <Q(t_k) Q(t_k+1)> from a run measured
+    only at t_k and t_k+1: the unmeasured state at t_k is branched, and each
+    unnormalised branch (which carries its probability) is evolved once
+    more. The last term is -<Q(t_n)> on the unmeasured path, or, with
+    ``measure_at_t2_for_q3``, on the path measured (and ignored) at t2.
+    One state is carried from step to step, so memory stays flat in n.
+    """
+    u = rotation_unitary(theta, scheme.dim)
+    ud = np.swapaxes(u.conj(), -1, -2)
+    rho = u @ basis_state(0, scheme.dim) @ ud
+    terms = [scheme._mean_q(rho)]
+    for k in range(2, n):
+        measured = k == 2 and measure_at_t2_for_q3
+        pair, dephased = 0.0, 0.0
+        for outcome in (+1, -1):
+            post = scheme._post_state(rho, outcome)
+            pair = pair + outcome * scheme._mean_q(u @ post @ ud)
+            if measured:
+                dephased = dephased + post
+            del post  # one branch alive at a time keeps the grid's peak memory down
+        terms.append(pair)
+        rho = u @ (dephased if measured else rho) @ ud
+    terms.append(-scheme._mean_q(rho))
+    return terms
 
 
 def k3_protocol(
@@ -209,31 +232,8 @@ def k3_protocol(
     on the unmeasured path by default; ``measure_at_t2_for_q3`` inserts a
     measured-but-ignored step at t2 for invasiveness studies.
     """
-    scheme.validate()
-    dim = scheme.dim
-    u = rotation_unitary(theta, dim)
-    ud = u.conj().T
-    rho2 = u @ basis_state(0, dim) @ ud
-
-    q2 = 0.0
-    q2q3 = 0.0
-    dephased = np.zeros_like(rho2)
-    for outcome in (+1, -1):
-        projs = scheme.outcome_projectors(outcome)
-        if not projs:
-            continue
-        if scheme.update_rule is UpdateRule.VON_NEUMANN:
-            post = sum(p @ rho2 @ p for p in projs)
-        else:
-            block = sum(projs)
-            post = block @ rho2 @ block
-        q2 += outcome * np.trace(post).real
-        q2q3 += outcome * _mean_q(u @ post @ ud, scheme)  # unnormalized: carries prob
-        dephased = dephased + post
-
-    rho3 = u @ (dephased if measure_at_t2_for_q3 else rho2) @ ud
-    q3 = _mean_q(rho3, scheme)
-    return CorrelatorSet(q2_mean=float(q2), q2q3_mean=float(q2q3), q3_mean=float(q3))
+    q2, q2q3, minus_q3 = _lg_terms(theta, 3, scheme, measure_at_t2_for_q3=measure_at_t2_for_q3)
+    return CorrelatorSet(q2_mean=float(q2), q2q3_mean=float(q2q3), q3_mean=float(-minus_q3))
 
 
 def analytic_correlators(theta: float) -> CorrelatorSet:
@@ -248,30 +248,6 @@ def analytic_correlators(theta: float) -> CorrelatorSet:
     return CorrelatorSet(q2_mean=q2, q2q3_mean=q2q3, q3_mean=q3)
 
 
-def _pair_correlator(i: int, j: int, u: np.ndarray, scheme: MeasurementScheme) -> float:
-    """<Q(t_j)Q(t_i)> with measurements only at t_i and t_j (i < j).
-
-    Free evolution elsewhere; t1 is the initialization, Q(t1) = +1.
-    """
-    dim = scheme.dim
-    rho = basis_state(0, dim)
-    for _ in range(i - 1):
-        rho = evolve(rho, u)
-    if i == 1:
-        for _ in range(j - i):
-            rho = evolve(rho, u)
-        return _mean_q(rho, scheme)
-    total = 0.0
-    for b in measure(rho, scheme):
-        if b.post_state is None:
-            continue
-        later = b.post_state
-        for _ in range(j - i):
-            later = evolve(later, u)
-        total += b.probability * b.outcome * _mean_q(later, scheme)
-    return total
-
-
 def kn_string(n: int, theta: float, scheme: MeasurementScheme) -> LgString:
     """n-time LG string with equal rotation angle theta between neighbours.
 
@@ -280,73 +256,18 @@ def kn_string(n: int, theta: float, scheme: MeasurementScheme) -> LgString:
     """
     if n < 3:
         raise ValueError(f"kn_string needs n >= 3, got {n}")
-    u = rotation_unitary(theta, scheme.dim)
-    terms = [_pair_correlator(i, i + 1, u, scheme) for i in range(1, n)]
-    terms.append(-_pair_correlator(1, n, u, scheme))
-    return LgString(n=n, terms=tuple(terms))
+    return LgString(n=n, terms=tuple(float(t) for t in _lg_terms(theta, n, scheme)))
 
 
 def classical_extrema(n: int) -> tuple[int, int]:
     """Exact macrorealist extrema of the n-time string by 2^n enumeration."""
     if not 3 <= n <= 12:
         raise ValueError(f"classical_extrema supports 3 <= n <= 12, got {n}")
-    lo, hi = None, None
-    for qs in itertools.product((+1, -1), repeat=n):
-        k = sum(qs[i] * qs[i + 1] for i in range(n - 1)) - qs[-1] * qs[0]
-        lo = k if lo is None else min(lo, k)
-        hi = k if hi is None else max(hi, k)
-    return lo, hi
-
-
-def _rotation_batch(thetas: np.ndarray, dim: int) -> np.ndarray:
-    """Stacked rotation unitaries (len(thetas), dim, dim), closed forms."""
-    c, s = np.cos(thetas), np.sin(thetas)
-    if dim == 3:
-        e = -1j * s / np.sqrt(2.0)
-        u = np.empty((len(thetas), 3, 3), dtype=complex)
-        u[:, 0, 0] = u[:, 2, 2] = (1 + c) / 2
-        u[:, 0, 2] = u[:, 2, 0] = (c - 1) / 2
-        u[:, 1, 1] = c
-        u[:, 0, 1] = u[:, 1, 0] = u[:, 1, 2] = u[:, 2, 1] = e
-        return u
-    ch, sh = np.cos(thetas / 2), np.sin(thetas / 2)
-    u = np.empty((len(thetas), 2, 2), dtype=complex)
-    u[:, 0, 0] = u[:, 1, 1] = ch
-    u[:, 0, 1] = u[:, 1, 0] = -1j * sh
-    return u
-
-
-def _k3_batch(thetas: np.ndarray, scheme: MeasurementScheme) -> np.ndarray:
-    """K3 over an array of angles; vectorised twin of ``k3_protocol``."""
-    scheme.validate()
-    dim = scheme.dim
-    u = _rotation_batch(thetas, dim)
-    ud = u.conj().transpose(0, 2, 1)
-    rho1 = basis_state(0, dim)[None, :, :]
-    rho2 = u @ rho1 @ ud
-
-    def q_of(rho: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(thetas))
-        for outcome in (+1, -1):
-            for p in scheme.outcome_projectors(outcome):
-                total += outcome * np.einsum("gij,ji->g", rho, p).real
-        return total
-
-    q2 = np.zeros(len(thetas))
-    q2q3 = np.zeros(len(thetas))
-    for outcome in (+1, -1):
-        projs = scheme.outcome_projectors(outcome)
-        if not projs:
-            continue
-        if scheme.update_rule is UpdateRule.VON_NEUMANN:
-            post = sum(p[None] @ rho2 @ p[None] for p in projs)
-        else:
-            block = sum(projs)
-            post = block[None] @ rho2 @ block[None]
-        q2 += outcome * np.einsum("gii->g", post).real
-        q2q3 += outcome * q_of(u @ post @ ud)
-    q3 = q_of(u @ rho2 @ ud)
-    return q2 + q2q3 - q3
+    values = [
+        sum(qs[i] * qs[i + 1] for i in range(n - 1)) - qs[-1] * qs[0]
+        for qs in itertools.product((+1, -1), repeat=n)
+    ]
+    return min(values), max(values)
 
 
 def find_max_k3(
@@ -360,17 +281,16 @@ def find_max_k3(
     if grid_points < 100:
         raise ValueError("grid_points must be >= 100")
 
-    def k3(theta: float) -> float:
-        return k3_protocol(theta, scheme).k3
+    def k3(theta):
+        return sum(_lg_terms(theta, 3, scheme))
 
     thetas = np.linspace(0.0, np.pi, grid_points)
-    values = _k3_batch(thetas, scheme)
+    values = k3(thetas)
     best = int(values.argmax())
 
-    lo = thetas[max(best - 1, 0)]
-    hi = thetas[min(best + 1, grid_points - 1)]
+    a = thetas[max(best - 1, 0)]
+    b = thetas[min(best + 1, grid_points - 1)]
     invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = k3(c), k3(d)

@@ -8,6 +8,7 @@ from nvlgi.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    format_theta,
     main,
     parse_theta,
 )
@@ -146,3 +147,28 @@ def test_json_round_trip(tmp_path, capsys):
     capsys.readouterr()
     record = json.loads(path.read_text())
     assert json.loads(json.dumps(record)) == record
+
+
+@pytest.mark.parametrize(
+    "config, argv, expected",
+    [
+        ({"theta": 0.416}, [], EXIT_OK),  # a numeric YAML theta is radians
+        ({"n_samples": "abc"}, [], EXIT_USAGE),
+        ({"f_rabi": 0}, [], EXIT_USAGE),
+        (None, ["ideal", "--theta", "nan"], EXIT_USAGE),
+    ],
+    ids=["yaml-theta-float", "yaml-n-samples-str", "yaml-f-rabi-zero", "cli-theta-nan"],
+)
+def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected):
+    if config is not None:
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(config))
+        argv = ["nv", "--config", str(path)]
+    code, out = run(capsys, *argv, "--seed", "1")
+    assert code == expected
+    if expected == EXIT_OK:
+        record = json.loads(out, parse_constant=pytest.fail)
+        assert record["inputs"]["theta"] == format_theta(0.416)
+        assert np.isfinite(record["outputs"]["k3"])
+    else:
+        assert out == ""

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from nvlgi.linalg import basis_projector, basis_state, evolve, rotation_unitary
+from nvlgi.linalg import basis_projector, basis_state, evolve, expectation, rotation_unitary
 from nvlgi.protocol import (
     CorrelatorSet,
     InvalidSchemeError,
     MeasurementScheme,
     UpdateRule,
+    _lg_terms,
     analytic_correlators,
     classical_extrema,
     find_max_k3,
@@ -22,6 +26,11 @@ from conftest import random_density
 THETA_STAR = 0.416 * np.pi
 VN = standard_qutrit_scheme(UpdateRule.VON_NEUMANN)
 LU = standard_qutrit_scheme(UpdateRule.LUDERS)
+STANDARD_SCHEMES = {
+    f"{system}-{rule.value}": build(rule)
+    for system, build in (("qutrit", standard_qutrit_scheme), ("qubit", standard_qubit_scheme))
+    for rule in UpdateRule
+}
 
 
 class TestScheme:
@@ -231,3 +240,94 @@ def test_correlator_set_identity_random(rng):
         q2, q2q3, q3 = rng.uniform(-1, 1, 3)
         c = CorrelatorSet(q2, q2q3, q3)
         assert c.k3 == pytest.approx(q2 + q2q3 - q3, abs=1e-12)
+
+
+def _oracle_mean_q(rho, scheme):
+    return sum(
+        scheme.outcome_of_label[label] * expectation(rho, p) for label, p in scheme.projectors
+    )
+
+
+def _oracle_post_state(rho, scheme, outcome):
+    projs = [p for label, p in scheme.projectors if scheme.outcome_of_label[label] == outcome]
+    if scheme.update_rule is UpdateRule.LUDERS:
+        projs = [sum(projs)]
+    return sum(p @ rho @ p for p in projs)
+
+
+def _oracle_pair_correlator(i, j, u, scheme):
+    """<Q(t_j)Q(t_i)> from its own run, measured only at t_i and t_j (i < j).
+
+    One evolve per time step and explicitly normalised branches; t1 is the
+    initialisation, Q(t1) = +1.
+    """
+    rho = basis_state(0, scheme.dim)
+    for _ in range(i - 1):
+        rho = evolve(rho, u)
+    if i == 1:
+        for _ in range(j - i):
+            rho = evolve(rho, u)
+        return _oracle_mean_q(rho, scheme)
+    total = 0.0
+    for outcome in (+1, -1):
+        post = _oracle_post_state(rho, scheme, outcome)
+        prob = np.trace(post).real
+        if prob <= 1e-14:
+            continue
+        later = post / prob
+        for _ in range(j - i):
+            later = evolve(later, u)
+        total += prob * outcome * _oracle_mean_q(later, scheme)
+    return total
+
+
+class TestLgTermsKernel:
+    @pytest.mark.parametrize("name", sorted(STANDARD_SCHEMES))
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_kn_terms_match_pairwise_oracle(self, name, n):
+        scheme = STANDARD_SCHEMES[name]
+        for theta in (0.0, 0.3, 0.416 * np.pi, np.pi / 2, 2.0, np.pi, -1.1):
+            u = rotation_unitary(theta, scheme.dim)
+            expected = [_oracle_pair_correlator(i, i + 1, u, scheme) for i in range(1, n)]
+            expected.append(-_oracle_pair_correlator(1, n, u, scheme))
+            got = kn_string(n, theta, scheme).terms
+            assert len(got) == n
+            assert np.abs(np.array(got) - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("rule", list(UpdateRule))
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_qubit_closed_form(self, rule, n):
+        scheme = standard_qubit_scheme(rule)
+        for theta in np.linspace(0, np.pi, 50):
+            closed = (n - 1) * np.cos(theta) - np.cos((n - 1) * theta)
+            assert abs(kn_string(n, theta, scheme).value - closed) < 1e-10
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(sorted(STANDARD_SCHEMES)),
+        st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=1, max_size=20),
+    )
+    def test_array_theta_equals_k3_protocol(self, name, thetas):
+        scheme = STANDARD_SCHEMES[name]
+        batched = sum(_lg_terms(np.array(thetas), 3, scheme))
+        assert batched.shape == (len(thetas),)
+        for theta, value in zip(thetas, batched):
+            assert abs(value - k3_protocol(theta, scheme).k3) < 1e-12
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        hnp.arrays(float, hnp.array_shapes(max_dims=2, max_side=6), elements=st.floats(-10, 10)),
+    )
+    def test_rotation_array_stacks_scalars_and_is_unitary(self, dim, theta):
+        u = rotation_unitary(theta, dim)
+        assert u.shape == theta.shape + (dim, dim)
+        for index in np.ndindex(theta.shape):
+            assert np.array_equal(u[index], rotation_unitary(float(theta[index]), dim))
+        eye = np.swapaxes(u.conj(), -1, -2) @ u
+        assert np.abs(eye - np.eye(dim)).max() < 1e-12
+
+    @settings(deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_qutrit_luders_bound_any_theta(self, theta):
+        assert k3_protocol(theta, LU).k3 <= 1.5 + 1e-9
