@@ -121,12 +121,15 @@ def _emit(record: dict, curves: dict[str, list] | None, args) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_seed(args) -> tuple[int, bool]:
+def _resolve_seed(args, config_seed: int | None = None) -> tuple[int, bool]:
+    """Seed and whether it was given: --seed, then NVLGI_SEED, then the config, else random."""
     if args.seed is not None:
         return args.seed, True
     env = os.environ.get("NVLGI_SEED")
     if env is not None:
         return int(env), True
+    if config_seed is not None:
+        return config_seed, True
     return secrets.randbits(32), False
 
 
@@ -196,8 +199,8 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_nv(args) -> int:
-    seed, seeded = _resolve_seed(args)
     cfg = load_config(args.config, args)
+    seed, seeded = _resolve_seed(args, cfg.get("seed"))
     theta = parse_theta(args.theta if args.theta is not None else cfg.get("theta", "0.416pi"))
     if args.ideal:
         model = ImperfectionModel.ideal()
@@ -235,6 +238,14 @@ def cmd_nv(args) -> int:
 
 
 def cmd_characterize(args) -> int:
+    for name in ("p", "noise", "delta_ref", "t2star"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if args.noise < 0:
+        raise UsageError(f"--noise must be >= 0, got {args.noise}")
+    if args.t2star <= 0:
+        raise UsageError(f"--t2star must be positive, got {args.t2star}")
     seed, seeded = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     if args.kind == "odmr":

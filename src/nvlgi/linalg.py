@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 TRACE_TOL = 1e-10
 UNITARITY_TOL = 1e-10
@@ -40,19 +39,6 @@ def spin1_operators() -> SpinOps:
     sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQRT2
     sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
     return SpinOps(sx=sx, sz=sz, iz_sq=sz @ sz)
-
-
-def matrix_exp(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * m) for a square matrix of dimension <= 16.
-
-    Backed by scipy's scaling-and-squaring Pade implementation; the
-    closed-form spin-1 rotation (``rotation_unitary``) provides an
-    independent cross-check path in the tests.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"matrix_exp needs a square matrix, got shape {m.shape}")
-    return scipy.linalg.expm(scale * m)
 
 
 def rotation_unitary(theta: float | np.ndarray, dim: int = 3) -> np.ndarray:

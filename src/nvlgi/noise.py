@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.optimize
 
-from .linalg import SQRT2, matrix_exp, rotation_unitary, tensor
+from .linalg import SQRT2, rotation_unitary, tensor
 
 
 class Averaging(enum.Enum):
@@ -98,6 +98,11 @@ def sample_detunings(model: ImperfectionModel) -> list[DetuningSample]:
     return [DetuningSample(float(d), float(w)) for d, w in zip(deltas, weights)]
 
 
+def detuning_arrays(samples: list[DetuningSample]) -> tuple[np.ndarray, np.ndarray]:
+    """The ensemble as two arrays over the sample axis: (delta0 in Hz, weight)."""
+    return np.array([s.delta0 for s in samples]), np.array([s.weight for s in samples])
+
+
 def electron_sz(dim: int) -> np.ndarray:
     """Noise coupling operator: diag(1, 0) on the electron manifolds.
 
@@ -112,34 +117,45 @@ def electron_sz(dim: int) -> np.ndarray:
     raise ValueError(f"no default electron Sz for dim {dim}")
 
 
+def _diagonal(op: np.ndarray, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    op = np.asarray(op)
+    if op.shape != shape or np.count_nonzero(op - np.diag(np.diag(op))):
+        raise ValueError(
+            f"{name} must be a diagonal {shape[0]}x{shape[0]} matrix: the ensemble "
+            "average is closed-form only for commuting diagonal operators"
+        )
+    return np.diag(op)
+
+
 def dephasing_evolution(
     rho: np.ndarray,
     h_static: np.ndarray,
-    duration: float,
+    duration: float | np.ndarray,
     samples: list[DetuningSample],
     noise_op: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Ensemble-averaged evolution under h_static + 2*pi*delta0*Sz_e.
+    """Ensemble-averaged evolution under h_static + 2*pi*delta0*noise_op.
 
-    ``h_static`` is in angular units (rad/s); ``duration`` in seconds. The
-    result is a convex mixture of unitary conjugations, so trace-preserving
-    and completely positive by construction.
+    ``h_static`` (angular units, rad/s) and ``noise_op`` must be diagonal,
+    so every sample only rephases the coherences:
+    rho_ab * exp(-i*t*(h_a - h_b)) * sum_s w_s * exp(-2*pi*i*delta_s*t*(s_a - s_b)).
+    ``duration`` (seconds) may be a scalar or an array; the result has shape
+    ``duration.shape + rho.shape``. It is a convex mixture of unitary
+    conjugations, so trace-preserving and completely positive by construction.
     """
     rho = np.asarray(rho, dtype=complex)
     if noise_op is None:
         noise_op = electron_sz(rho.shape[0])
-    if duration < 0:
+    h = _diagonal(h_static, "h_static", rho.shape)
+    s = _diagonal(noise_op, "noise_op", rho.shape)
+    t = np.asarray(duration, dtype=float)
+    if (t < 0).any():
         raise ValueError("duration must be non-negative")
-    out = np.zeros_like(rho)
-    comp = np.zeros_like(rho)  # compensated summation keeps order independence
-    for s in samples:
-        h = h_static + 2 * np.pi * s.delta0 * noise_op
-        u = matrix_exp(h, -1j * duration)
-        term = s.weight * (u @ rho @ u.conj().T) - comp
-        new = out + term
-        comp = (new - out) - term
-        out = new
-    return out
+    deltas, weights = detuning_arrays(samples)
+    t = t[..., None, None]
+    static = np.exp(-1j * t * (h[:, None] - h[None, :]))
+    noise = np.exp(-2j * np.pi * (t * (s[:, None] - s[None, :]))[..., None] * deltas) @ weights
+    return rho * static * noise
 
 
 def imperfect_initial_state(model: ImperfectionModel) -> np.ndarray:
@@ -171,8 +187,6 @@ def fid_curve(
     Returns an array of shape (len(t_grid), 2) with columns (t, P0).
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if (t_grid < 0).any():
-        raise ValueError("t_grid must be non-negative")
     samples = sample_detunings(model.with_(n_samples=n_quadrature))
     half = rotation_unitary(np.pi / 2, dim=2)
     unhalf = half.conj().T
@@ -180,11 +194,8 @@ def fid_curve(
     rho0 = np.zeros((2, 2), dtype=complex)
     rho0[1, 1] = 1.0  # |0>e
     rho0 = half @ rho0 @ half.conj().T
-    p0 = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        rho = dephasing_evolution(rho0, h_ref, t, samples)
-        rho = unhalf @ rho @ unhalf.conj().T
-        p0[i] = rho[1, 1].real
+    rho = unhalf @ dephasing_evolution(rho0, h_ref, t_grid, samples) @ unhalf.conj().T
+    p0 = rho[:, 1, 1].real
     if readout_sigma > 0:
         if rng is None:
             rng = np.random.default_rng(model.seed)
@@ -194,6 +205,15 @@ def fid_curve(
 
 def _decay_model(t, amp, t2, delta, phase, offset):
     return amp * np.exp(-((t / t2) ** 2)) * np.cos(2 * np.pi * delta * t + phase) + offset
+
+
+def _decay_jacobian(t, amp, t2, delta, phase, offset):
+    """Derivatives of ``_decay_model`` by (amp, t2, delta, phase, offset), one column each."""
+    env, arg = np.exp(-((t / t2) ** 2)), 2 * np.pi * delta * t + phase
+    c, s = env * np.cos(arg), env * np.sin(arg)
+    return np.column_stack(
+        [c, 2 * amp * c * t**2 / t2**3, -2 * np.pi * amp * s * t, -amp * s, np.ones_like(t)]
+    )
 
 
 def fit_gaussian_decay(points: np.ndarray) -> tuple[float, float]:
@@ -216,9 +236,11 @@ def fit_gaussian_decay(points: np.ndarray) -> tuple[float, float]:
     spectrum = np.abs(np.fft.rfft(y - y.mean()))
     delta0 = freqs[1:][spectrum[1:].argmax()] if len(freqs) > 1 else 1.0 / span
     p0 = [amp0, span / 2, delta0, 0.0, y.mean()]
+    # an analytic Jacobian: a finite-difference step scales with its parameter,
+    # so a phase fitted to ~1e-10 would give a zero column and no covariance
     try:
         popt, pcov = scipy.optimize.curve_fit(
-            _decay_model, t, y, p0=p0, maxfev=20000
+            _decay_model, t, y, p0=p0, jac=_decay_jacobian, maxfev=20000
         )
     except RuntimeError as exc:
         raise FitError(f"decay fit did not converge: {exc}") from exc

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SQRT2, rotation_unitary, spin1_operators, tensor
+from .linalg import SQRT2, rotation_unitary, tensor
 from .noise import (
     ImperfectionModel,
+    detuning_arrays,
     electron_sz,
     imperfect_initial_state,
     sample_detunings,
@@ -102,18 +103,9 @@ def build_nv_hamiltonian(model: NvModel) -> np.ndarray:
     """H_NV in angular units (rad/s): 2*pi*(D*Sz^2 + we*Sz + Q*Iz^2 + wn*Iz + A*Iz*Sz).
 
     The electron is restricted to the (|1>e, |0>e) ancilla, so its Sz acts
-    as diag(1, 0); the result is diagonal in the product basis.
+    as diag(1, 0); the result is 2*pi*diag(``model.level_energies()``).
     """
-    sz_e = np.diag([1.0, 0.0]).astype(complex)
-    ops = spin1_operators()
-    h = (
-        model.d_zfs * tensor(sz_e @ sz_e, _I3)
-        + model.omega_e * tensor(sz_e, _I3)
-        + model.q_quad * tensor(_I2, ops.iz_sq)
-        + model.omega_n * tensor(_I2, ops.sz)
-        + model.a_hf * tensor(sz_e, ops.sz)
-    )
-    return 2 * np.pi * h
+    return np.diag(2 * np.pi * model.level_energies()).astype(complex)
 
 
 def nuclear_rotation(theta: float) -> np.ndarray:
@@ -133,18 +125,29 @@ def _flip_unitary(protected: int) -> list[np.ndarray]:
     return flips
 
 
-def controlled_gate(variant: int, p: float):
+def _check_flip_prob(p: float | np.ndarray) -> None:
+    """Raise unless every element of p is in [0, 1]; NaN fails."""
+    p = np.asarray(p)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError(f"flip probability must be in [0, 1], got {p}")
+
+
+def controlled_gate(variant: int, p: float | np.ndarray):
     """Channel flipping the electron on nuclear states other than the protected one.
 
     ``variant`` 1..3 protects |+1>n, |0>n, |-1>n respectively. Each
     unprotected subspace is flipped independently with probability p
     (one selective MW pulse per subspace); the protected subspace is
     untouched exactly and the channel is trace-preserving.
+
+    ``p`` may be an array, every element in [0, 1]; the channel then maps a
+    state, or a stack of states broadcast against it, to one state per
+    element (shape ``p.shape + (6, 6)``).
     """
     if not 1 <= variant <= 3:
         raise ValueError(f"controlled_gate variant must be 1..3, got {variant}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability must be in [0, 1], got {p}")
+    _check_flip_prob(p)
+    p = np.asarray(p, dtype=float)[..., None, None]
     flips = _flip_unitary(variant - 1)
 
     def apply(rho: np.ndarray) -> np.ndarray:
@@ -176,33 +179,32 @@ def run_inrm_experiment(
     if cg_variant not in (1, 2, 3, 4):
         raise ValueError(f"cg_variant must be 1..4, got {cg_variant}")
     model = imperfections or ImperfectionModel.ideal()
-    u_duration = PulseParams(theta=theta, f_rabi=f_rabi).u_duration
-    return _inrm_sequence(nuclear_rotation(theta), u_duration, cg_variant, model, delta0, mw_rabi)
+    return _inrm_populations(theta, cg_variant, model, np.array([delta0]), f_rabi, mw_rabi)[0]
 
 
-def _inrm_sequence(
-    u: np.ndarray,
-    u_duration: float,
+def _inrm_populations(
+    theta: float,
     cg_variant: int,
     model: ImperfectionModel,
-    delta0: float,
+    deltas: np.ndarray,
+    f_rabi: float,
     mw_rabi: float | None,
 ) -> np.ndarray:
-    """``run_inrm_experiment`` with the theta-only rotation and RF pulse length prebuilt."""
-    rho = imperfect_initial_state(model)
-    if delta0 != 0.0:
-        # quasi-static detuning phase during the RF pulse; commutes with the
-        # drive and is diagonal, so it multiplies rows directly
-        phase = np.exp(-1j * 2 * np.pi * delta0 * u_duration * np.diag(electron_sz(6)).real)
-        u = phase[:, None] * u
-    rho = u @ rho @ u.conj().T
+    """``run_inrm_experiment`` for every detuning in ``deltas``: shape (len(deltas), 6)."""
+    u_duration = PulseParams(theta=theta, f_rabi=f_rabi).u_duration
+    # quasi-static detuning phase during the RF pulse; it commutes with the
+    # drive and is diagonal, so it multiplies rows: one (6, 6) slice per sample
+    phase = np.exp(-1j * 2 * np.pi * deltas[:, None] * u_duration * np.diag(electron_sz(6)).real)
+    u = phase[:, :, None] * nuclear_rotation(theta)
+    u_dag = u.conj().swapaxes(-1, -2)
+    rho = u @ imperfect_initial_state(model) @ u_dag
     if cg_variant != 4:
         p_eff = model.flip_prob_p
         if mw_rabi is not None:
-            p_eff *= _pulse_flip_prob(delta0, mw_rabi)
+            p_eff *= _pulse_flip_prob(deltas, mw_rabi)
         rho = controlled_gate(cg_variant, p_eff)(rho)
-    rho = u @ rho @ u.conj().T
-    return np.diag(rho).real.copy()
+    rho = u @ rho @ u_dag
+    return rho.diagonal(axis1=-2, axis2=-1).real.copy()
 
 
 def population_table(
@@ -224,21 +226,11 @@ def population_table(
             "flip probability 0: the controlled gate never marks the ancilla, "
             "so the postselected populations overcount every outcome"
         )
-    samples = sample_detunings(model)
-    u = nuclear_rotation(theta)
-    u_duration = PulseParams(theta=theta, f_rabi=f_rabi).u_duration
-    table = np.zeros((6, 4))
-    for j in range(1, 5):
-        col = np.zeros(6)
-        comp = np.zeros(6)
-        for s in samples:
-            pops = _inrm_sequence(u, u_duration, j, model, s.delta0, mw_rabi)
-            term = s.weight * pops - comp
-            new = col + term
-            comp = (new - col) - term
-            col = new
-        table[:, j - 1] = col
-    return table
+    deltas, weights = detuning_arrays(sample_detunings(model))
+    return np.column_stack([
+        weights @ _inrm_populations(theta, j, model, deltas, f_rabi, mw_rabi)
+        for j in range(1, 5)
+    ])
 
 
 def postselected_weights(table: np.ndarray) -> np.ndarray:
@@ -281,12 +273,12 @@ def lg_run(
     return assemble_lg(population_table(theta, imperfections, f_rabi, mw_rabi))
 
 
-def _pulse_flip_prob(detuning: float, rabi: float) -> float:
-    """Population transfer of a square pi pulse at the given detuning (Hz)."""
+def _pulse_flip_prob(detuning: float | np.ndarray, rabi: float) -> np.ndarray:
+    """Population transfer of a square pi pulse at the given detuning(s) (Hz)."""
     if rabi <= 0:
         raise ValueError("rabi frequency must be positive")
     g = np.hypot(rabi, detuning)
-    return float((rabi / g) ** 2 * np.sin(np.pi * g / (2 * rabi)) ** 2)
+    return (rabi / g) ** 2 * np.sin(np.pi * g / (2 * rabi)) ** 2
 
 
 def odmr_spectrum(
@@ -303,26 +295,17 @@ def odmr_spectrum(
     probability p, protecting the ``cg_variant`` nuclear state) runs before
     the sweep, so the line pattern encodes p. Returns (freq, P0) rows.
     """
+    _check_flip_prob(p)
     model = model or NvModel()
     freqs = np.asarray(freqs, dtype=float)
-    lines = [model.mw_transition(mi) for mi in (1, 0, -1)]
-    protected = cg_variant - 1
-    # per-nuclear-state electron |0> population before the sweep pulse
-    p0_n = np.full(3, 1.0 / 3)
+    lines = np.array([model.mw_transition(mi) for mi in (1, 0, -1)])
+    rho = tensor(np.diag([0.0, 1.0]), _I3 / 3)
     if apply_cg:
-        for m in range(3):
-            if m != protected:
-                p0_n[m] *= 1.0 - p
-    out = np.empty((len(freqs), 2))
-    for i, f in enumerate(freqs):
-        total = 0.0
-        for m in range(3):
-            flip = _pulse_flip_prob(f - lines[m], mw_rabi)
-            pop0 = p0_n[m]
-            pop1 = 1.0 / 3 - pop0
-            total += (1 - flip) * pop0 + flip * pop1
-        out[i] = (f, total)
-    return out
+        rho = controlled_gate(cg_variant, p)(rho)
+    # per-nuclear-state electron populations before the sweep pulse
+    pop1, pop0 = np.diag(rho).real.reshape(2, 3)
+    flip = _pulse_flip_prob(freqs[:, None] - lines, mw_rabi)
+    return np.column_stack([freqs, ((1 - flip) * pop0 + flip * pop1).sum(axis=1)])
 
 
 def repeated_cg(
@@ -338,8 +321,7 @@ def repeated_cg(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability must be in [0, 1], got {p}")
+    _check_flip_prob(p)
     ks = np.arange(k_max + 1)
     p0 = p**ks.astype(float)
     if readout_sigma > 0:

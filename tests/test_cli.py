@@ -93,6 +93,19 @@ class TestNvCommand:
         assert code == EXIT_OK
         assert json.loads(out)["outputs"]["k3"] == pytest.approx(1.7565, abs=1e-3)
 
+    def test_config_seed_is_used(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("NVLGI_SEED", raising=False)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({"seed": 5, "averaging": "monte-carlo", "n_samples": 50}))
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for p in paths:
+            assert main(["nv", "--config", str(cfg), "--output", str(p)]) == EXIT_OK
+        capsys.readouterr()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        record = json.loads(paths[0].read_text())
+        assert record["provenance"] == {"seed": 5, "version": record["provenance"]["version"]}
+        assert record["inputs"]["imperfections"]["seed"] == 5
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(yaml.safe_dump({"theta": "0.1pi", "bogus": 1}))
@@ -156,8 +169,18 @@ def test_json_round_trip(tmp_path, capsys):
         ({"n_samples": "abc"}, [], EXIT_USAGE),
         ({"f_rabi": 0}, [], EXIT_USAGE),
         (None, ["ideal", "--theta", "nan"], EXIT_USAGE),
+        (None, ["characterize", "odmr", "--cg", "--p", "nan", "--format", "csv"], EXIT_USAGE),
+        (None, ["characterize", "odmr", "--cg", "--p", "1.5"], EXIT_USAGE),
+        (None, ["characterize", "cg-repeat", "--noise", "nan"], EXIT_USAGE),
+        (None, ["characterize", "cg-repeat", "--noise", "-0.01"], EXIT_USAGE),
+        (None, ["characterize", "fid", "--delta-ref", "inf"], EXIT_USAGE),
+        (None, ["characterize", "fid", "--t2star", "nan"], EXIT_USAGE),
     ],
-    ids=["yaml-theta-float", "yaml-n-samples-str", "yaml-f-rabi-zero", "cli-theta-nan"],
+    ids=[
+        "yaml-theta-float", "yaml-n-samples-str", "yaml-f-rabi-zero", "cli-theta-nan",
+        "odmr-p-nan", "odmr-p-above-one", "cg-noise-nan", "cg-noise-negative",
+        "fid-delta-ref-inf", "fid-t2star-nan",
+    ],
 )
 def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected):
     if config is not None:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nvlgi.linalg import (
     DimensionMismatchError,
@@ -8,7 +9,6 @@ from nvlgi.linalg import (
     check_unitary,
     evolve,
     expectation,
-    matrix_exp,
     rotation_unitary,
     spin1_operators,
     tensor,
@@ -46,35 +46,6 @@ class TestSpinOperators:
         assert np.abs(comm - 1j * ops.sz).max() < 1e-12
 
 
-class TestMatrixExp:
-    def test_zero_matrix(self):
-        assert np.allclose(matrix_exp(np.zeros((4, 4)), 3.7j), np.eye(4))
-
-    def test_diagonal(self):
-        ops = spin1_operators()
-        assert np.allclose(matrix_exp(ops.sz, -1j * np.pi), np.diag([-1, 1, -1]), atol=1e-12)
-
-    def test_corner_amplitude(self):
-        ops = spin1_operators()
-        u = matrix_exp(ops.sx, -1j * THETA_STAR)
-        expected = (np.cos(THETA_STAR) - 1) ** 2 / 4
-        assert abs(u[2, 0]) ** 2 == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.1366, abs=5e-4)
-
-    def test_against_taylor_oracle(self, rng):
-        for _ in range(20):
-            m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            scale = complex(rng.normal(), rng.normal())
-            ref = taylor_expm(m, scale)
-            got = matrix_exp(m, scale)
-            # the oracle itself carries ~1e-13 rounding from repeated squaring
-            assert np.abs(got - ref).max() / max(np.abs(ref).max(), 1.0) < 1e-11
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatchError):
-            matrix_exp(np.zeros((2, 3)))
-
-
 class TestRotationUnitary:
     def test_identity_at_zero(self):
         assert np.allclose(rotation_unitary(0.0), np.eye(3))
@@ -93,7 +64,8 @@ class TestRotationUnitary:
     def test_matches_matrix_exp(self, rng, dim):
         sx = spin1_operators().sx if dim == 3 else np.array([[0, 0.5], [0.5, 0]])
         for theta in rng.uniform(-2 * np.pi, 2 * np.pi, 50):
-            assert np.abs(rotation_unitary(theta, dim) - matrix_exp(sx, -1j * theta)).max() < 1e-12
+            ref = scipy.linalg.expm(-1j * theta * sx)
+            assert np.abs(rotation_unitary(theta, dim) - ref).max() < 1e-12
 
     def test_unitarity(self, rng):
         for theta in rng.uniform(0, np.pi, 100):

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nvlgi.linalg import tensor
 from nvlgi.noise import (
@@ -131,6 +135,39 @@ class TestDephasingEvolution:
             assert abs(np.trace(out).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(out).min() > -1e-12
 
+    @settings(deadline=None)
+    @given(
+        dim=st.sampled_from([2, 6]),
+        seed=st.integers(0, 2**31),
+        t2_star=st.floats(10e-6, 200e-6),
+        n_samples=st.integers(1, 41),
+        averaging=st.sampled_from(Averaging),
+        durations=hnp.arrays(float, st.integers(1, 5), elements=st.floats(0.0, 100e-6)),
+    )
+    def test_matches_per_sample_expm(self, dim, seed, t2_star, n_samples, averaging, durations):
+        from conftest import random_density
+
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, dim)
+        h = np.diag(rng.normal(size=dim) * 1e5)
+        model = ImperfectionModel(t2_star=t2_star, n_samples=n_samples,
+                                  averaging=averaging, seed=seed)
+        samples = sample_detunings(model)
+        out = dephasing_evolution(rho, h, durations, samples)
+        assert out.shape == durations.shape + rho.shape
+        sz = electron_sz(dim)
+        for t, got in zip(durations, out):
+            ref = np.zeros_like(rho)
+            for s in samples:
+                u = scipy.linalg.expm(-1j * t * (h + 2 * np.pi * s.delta0 * sz))
+                ref += s.weight * (u @ rho @ u.conj().T)
+            assert np.abs(got - ref).max() < 1e-13
+
+    def test_rejects_non_diagonal_hamiltonian(self):
+        h = np.array([[0.0, 1e4], [1e4, 0.0]])
+        with pytest.raises(ValueError, match="diagonal"):
+            dephasing_evolution(np.eye(2) / 2, h, 1e-6, [DetuningSample(0.0, 1.0)])
+
     def test_rejects_negative_duration(self):
         with pytest.raises(ValueError):
             dephasing_evolution(np.eye(2) / 2, np.zeros((2, 2)), -1.0, [DetuningSample(0, 1)])
@@ -179,6 +216,19 @@ class TestFitGaussianDecay:
             for s in range(30)
         ]
         assert max(misses) < 0.02
+
+    def test_phase_fitted_near_zero(self):
+        # this fit lands at a phase of ~3e-10, where a finite-difference
+        # Jacobian step vanishes and the covariance came out infinite
+        t2 = 4.099226895125179e-05
+        curve = fid_curve(
+            ImperfectionModel(t2_star=t2), np.linspace(0, 2 * t2, 95),
+            delta_ref=37856.877042708176, n_quadrature=21, readout_sigma=0.01,
+            rng=np.random.default_rng(1199169501),
+        )
+        t2_hat, err = fit_gaussian_decay(curve)
+        assert t2_hat == pytest.approx(t2, rel=0.02)
+        assert 0 < err < 0.01 * t2
 
     def test_constant_signal_is_error(self):
         points = np.column_stack([np.linspace(0, 1e-4, 30), np.full(30, 0.5)])

@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from nvlgi.noise import Averaging, ImperfectionModel
+from nvlgi.linalg import rotation_unitary
+from nvlgi.noise import Averaging, ImperfectionModel, imperfect_initial_state, sample_detunings
 from nvlgi.nv import (
     DegeneratePostselectionError,
     NvModel,
@@ -23,6 +29,49 @@ from conftest import random_density
 
 THETA_STAR = 0.416 * np.pi
 VN = standard_qutrit_scheme(UpdateRule.VON_NEUMANN)
+
+noisy_models = st.builds(
+    ImperfectionModel,
+    t2_star=st.floats(10e-6, 200e-6),
+    pol_e=st.floats(0.5, 1.0),
+    pol_n=st.floats(0.5, 1.0),
+    flip_prob_p=st.floats(0.01, 1.0),
+    n_samples=st.integers(1, 60),
+    seed=st.integers(0, 2**31),
+    averaging=st.sampled_from(Averaging),
+)
+thetas = st.floats(-2 * np.pi, 2 * np.pi)
+mw_rabis = st.floats(5e3, 2e6)
+
+
+def per_sample_population_table(theta, model, f_rabi, mw_rabi):
+    """Reference: each detuning sample run on its own, summed with exact rounding."""
+    x = np.array([[0, 1], [1, 0]])
+    u0 = np.kron(np.eye(2), rotation_unitary(theta))
+    tau = theta / (np.sqrt(2) * np.pi * f_rabi)
+    rho0 = imperfect_initial_state(model)
+    samples = sample_detunings(model)
+    table = np.zeros((6, 4))
+    for j in range(1, 5):
+        terms = []
+        for s in samples:
+            u = np.exp(-2j * np.pi * s.delta0 * tau * np.array([1, 1, 1, 0, 0, 0]))[:, None] * u0
+            rho = u @ rho0 @ u.conj().T
+            if j != 4:
+                p = model.flip_prob_p
+                if mw_rabi is not None:
+                    g = np.hypot(mw_rabi, s.delta0)
+                    p *= (mw_rabi / g) ** 2 * np.sin(np.pi * g / (2 * mw_rabi)) ** 2
+                for m in range(3):
+                    if m != j - 1:
+                        pm = np.zeros((3, 3))
+                        pm[m, m] = 1.0
+                        f = np.kron(x, pm) + np.kron(np.eye(2), np.eye(3) - pm)
+                        rho = p * (f @ rho @ f.T) + (1 - p) * rho
+            rho = u @ rho @ u.conj().T
+            terms.append(s.weight * np.diag(rho).real)
+        table[:, j - 1] = [math.fsum(t[i] for t in terms) for i in range(6)]
+    return table
 
 
 def level6(i):
@@ -111,6 +160,24 @@ class TestControlledGate:
             controlled_gate(5, 0.9)
         with pytest.raises(ValueError):
             controlled_gate(1, 1.2)
+        with pytest.raises(ValueError):
+            controlled_gate(1, np.array([0.5, np.nan]))
+
+    @settings(deadline=None)
+    @given(
+        variant=st.integers(1, 3),
+        p=hnp.arrays(float, st.integers(1, 6), elements=st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_array_p_channel_is_trace_preserving_and_positive(self, variant, p, seed):
+        rng = np.random.default_rng(seed)
+        rho = np.array([random_density(rng, 6) for _ in p])
+        out = controlled_gate(variant, p)(rho)
+        assert out.shape == p.shape + (6, 6)
+        assert np.abs(np.trace(out, axis1=1, axis2=2) - 1.0).max() < 1e-12
+        assert np.linalg.eigvalsh(out).min() > -1e-12
+        for pk, rk, ok in zip(p, rho, out):
+            assert np.array_equal(controlled_gate(variant, float(pk))(rk), ok)
 
 
 class TestInrmExperiment:
@@ -177,6 +244,24 @@ class TestAssembly:
             )
             weights = postselected_weights(population_table(rng.uniform(0, np.pi), model))
             assert np.all(weights <= 1.0 + 1e-10)
+
+    @settings(deadline=None)
+    @given(model=noisy_models, theta=thetas, mw_rabi=mw_rabis)
+    def test_postselected_weight_bounded_with_finite_gate(self, model, theta, mw_rabi):
+        table = population_table(theta, model, mw_rabi=mw_rabi)
+        assert np.all(postselected_weights(table) <= 1.0 + 1e-10)
+
+    @settings(deadline=None)
+    @given(
+        model=noisy_models,
+        theta=thetas,
+        f_rabi=st.floats(5e3, 50e3),
+        mw_rabi=st.none() | mw_rabis,
+    )
+    def test_batched_table_matches_per_sample_loop(self, model, theta, f_rabi, mw_rabi):
+        table = population_table(theta, model, f_rabi=f_rabi, mw_rabi=mw_rabi)
+        ref = per_sample_population_table(theta, model, f_rabi, mw_rabi)
+        assert np.abs(table - ref).max() < 1e-14
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
