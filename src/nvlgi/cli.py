@@ -246,6 +246,8 @@ def cmd_characterize(args) -> int:
         raise UsageError(f"--noise must be >= 0, got {args.noise}")
     if args.t2star <= 0:
         raise UsageError(f"--t2star must be positive, got {args.t2star}")
+    if args.points < 1:
+        raise UsageError(f"--points must be >= 1, got {args.points}")
     seed, seeded = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     if args.kind == "odmr":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import basis_projector, basis_state, rotation_unitary
+from .linalg import basis_projector, rotation_unitary
 
 PROJECTOR_TOL = 1e-10
 BRANCH_PROB_FLOOR = 1e-14
@@ -41,8 +41,8 @@ class MeasurementScheme:
     assigns each label +1 or -1; ``update_rule`` selects how the
     post-measurement state is formed for degenerate outcomes.
 
-    States passed to the update and to ``<Q>`` may be stacked: any leading
-    axes are carried through.
+    The update acts on density matrices (``measure``), the LG kernel on sets
+    of kets; both may be stacked, and any leading axes are carried through.
     """
 
     projectors: tuple[tuple[str, np.ndarray], ...]
@@ -54,14 +54,13 @@ class MeasurementScheme:
         return self.projectors[0][1].shape[0]
 
     @functools.cached_property
-    def _update_ops(self) -> dict[int, list[np.ndarray]]:
-        """Operators K, post state sum K rho K, for each outcome (rules as in ``measure``).
+    def _update_ops(self) -> tuple[np.ndarray, np.ndarray]:
+        """Update operators K (post state sum K rho K): their outcomes and an (M, d, d) stack.
 
-        Checks the scheme first; a failed check raises and caches nothing, so
-        it raises again on the next use. An outcome with no projectors gets
-        the zero operator.
+        Rules as in ``measure``. Checks the scheme first; a failed check
+        raises and caches nothing, so it raises again on the next use.
         """
-        total = np.zeros((self.dim, self.dim), dtype=complex)
+        ops = np.array([p for _, p in self.projectors], dtype=complex)
         for lab, p in self.projectors:
             if np.abs(p - p.conj().T).max() > PROJECTOR_TOL:
                 raise InvalidSchemeError(f"projector {lab!r} not Hermitian")
@@ -71,36 +70,39 @@ class MeasurementScheme:
                 raise InvalidSchemeError(f"label {lab!r} has no outcome assignment")
             if self.outcome_of_label[lab] not in (+1, -1):
                 raise InvalidSchemeError(f"outcome for {lab!r} must be +1 or -1")
-            total += p
         for (_, a), (_, b) in itertools.combinations(self.projectors, 2):
             if np.abs(a @ b).max() > PROJECTOR_TOL:
                 raise InvalidSchemeError("projectors not mutually orthogonal")
-        if np.abs(total - np.eye(self.dim)).max() > PROJECTOR_TOL:
+        if np.abs(ops.sum(0) - np.eye(self.dim)).max() > PROJECTOR_TOL:
             raise InvalidSchemeError("projectors do not sum to identity")
-        zero = np.zeros_like(total)
-        ops = {
-            v: [p for lab, p in self.projectors if self.outcome_of_label[lab] == v] or [zero]
-            for v in (+1, -1)
-        }
+        outcomes = np.array([self.outcome_of_label[lab] for lab, _ in self.projectors], float)
         if self.update_rule is UpdateRule.LUDERS:
-            return {v: [sum(ps)] for v, ps in ops.items()}
-        return ops
+            ops = np.array([ops[outcomes == v].sum(0) for v in (+1, -1)])
+            outcomes = np.array([+1.0, -1.0])
+        return outcomes, ops
 
     @functools.cached_property
     def _observable(self) -> np.ndarray:
-        """Q = sum of outcome * P over all projectors."""
-        return sum(v * p for v, ps in self._update_ops.items() for p in ps)
+        """Q = sum of outcome * K over the update operators."""
+        return np.tensordot(*self._update_ops, 1)
 
     def validate(self) -> None:
         self._update_ops
 
     def _post_state(self, rho: np.ndarray, outcome: int) -> np.ndarray:
         """Unnormalised post-measurement state; its trace is the outcome probability."""
-        return sum(k @ rho @ k for k in self._update_ops[outcome])
+        outcomes, ops = self._update_ops
+        return sum((k @ rho @ k for k in ops[outcomes == outcome]), np.zeros_like(rho))
 
-    def _mean_q(self, rho: np.ndarray) -> np.ndarray:
-        """<Q> = tr(rho Q), without forming branches."""
-        return np.einsum("...ij,ji->...", rho, self._observable).real
+    def _ket_q(self, kets: np.ndarray) -> np.ndarray:
+        """psi^dagger Q psi for each ket psi, a row of ``kets``."""
+        return np.einsum("...i,...i->...", kets.conj(), _apply(self._observable, kets)).real
+
+
+def _apply(ops: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Each d x d operator in ``ops`` times each ket of (..., m, d), in one 2-D product."""
+    *lead, m, d = kets.shape
+    return (kets.reshape(-1, d) @ ops.reshape(-1, d).T).reshape(*lead, m * ops.size // d**2, d)
 
 
 @dataclass(frozen=True)
@@ -197,24 +199,20 @@ def _lg_terms(
     unnormalised branch (which carries its probability) is evolved once
     more. The last term is -<Q(t_n)> on the unmeasured path, or, with
     ``measure_at_t2_for_q3``, on the path measured (and ignored) at t2.
-    One state is carried from step to step, so memory stays flat in n.
+    A state is the kets psi_m (rows of (..., m, d)) of rho = sum_m |psi_m><psi_m|:
+    U|0> is one ket, a branch the K psi_m over its outcome's operators K, and
+    the state measured at t2 both branches. Memory stays flat in n.
     """
     u = rotation_unitary(theta, scheme.dim)
-    ud = np.swapaxes(u.conj(), -1, -2)
-    rho = u @ basis_state(0, scheme.dim) @ ud
-    terms = [scheme._mean_q(rho)]
+    outcomes, ops = scheme._update_ops
+    psi = u[..., None, :, 0]
+    terms = [scheme._ket_q(psi).sum(-1)]
     for k in range(2, n):
+        branches = np.einsum("...mj,...ij->...mi", _apply(ops, psi), u)
+        terms.append(scheme._ket_q(branches) @ np.tile(outcomes, psi.shape[-2]))
         measured = k == 2 and measure_at_t2_for_q3
-        pair, dephased = 0.0, 0.0
-        for outcome in (+1, -1):
-            post = scheme._post_state(rho, outcome)
-            pair = pair + outcome * scheme._mean_q(u @ post @ ud)
-            if measured:
-                dephased = dephased + post
-            del post  # one branch alive at a time keeps the grid's peak memory down
-        terms.append(pair)
-        rho = u @ (dephased if measured else rho) @ ud
-    terms.append(-scheme._mean_q(rho))
+        psi = branches if measured else np.einsum("...mj,...ij->...mi", psi, u)
+    terms.append(-scheme._ket_q(psi).sum(-1))
     return terms
 
 

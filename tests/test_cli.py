@@ -163,31 +163,34 @@ def test_json_round_trip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config, argv, expected",
+    "config, argv, expected, message",
     [
-        ({"theta": 0.416}, [], EXIT_OK),  # a numeric YAML theta is radians
-        ({"n_samples": "abc"}, [], EXIT_USAGE),
-        ({"f_rabi": 0}, [], EXIT_USAGE),
-        (None, ["ideal", "--theta", "nan"], EXIT_USAGE),
-        (None, ["characterize", "odmr", "--cg", "--p", "nan", "--format", "csv"], EXIT_USAGE),
-        (None, ["characterize", "odmr", "--cg", "--p", "1.5"], EXIT_USAGE),
-        (None, ["characterize", "cg-repeat", "--noise", "nan"], EXIT_USAGE),
-        (None, ["characterize", "cg-repeat", "--noise", "-0.01"], EXIT_USAGE),
-        (None, ["characterize", "fid", "--delta-ref", "inf"], EXIT_USAGE),
-        (None, ["characterize", "fid", "--t2star", "nan"], EXIT_USAGE),
+        ({"theta": 0.416}, [], EXIT_OK, None),  # a numeric YAML theta is radians
+        ({"n_samples": "abc"}, [], EXIT_USAGE, "n_samples"),
+        ({"f_rabi": 0}, [], EXIT_USAGE, "f_rabi"),
+        (None, ["ideal", "--theta", "nan"], EXIT_USAGE, "theta"),
+        (None, ["characterize", "odmr", "--cg", "--p", "nan", "--format", "csv"], EXIT_USAGE,
+         "--p"),
+        (None, ["characterize", "odmr", "--cg", "--p", "1.5"], EXIT_USAGE, "flip probability"),
+        (None, ["characterize", "cg-repeat", "--noise", "nan"], EXIT_USAGE, "--noise"),
+        (None, ["characterize", "cg-repeat", "--noise", "-0.01"], EXIT_USAGE, "--noise"),
+        (None, ["characterize", "fid", "--delta-ref", "inf"], EXIT_USAGE, "--delta-ref"),
+        (None, ["characterize", "fid", "--t2star", "nan"], EXIT_USAGE, "--t2star"),
+        (None, ["characterize", "odmr", "--points", "0"], EXIT_USAGE, "--points"),
     ],
     ids=[
         "yaml-theta-float", "yaml-n-samples-str", "yaml-f-rabi-zero", "cli-theta-nan",
         "odmr-p-nan", "odmr-p-above-one", "cg-noise-nan", "cg-noise-negative",
-        "fid-delta-ref-inf", "fid-t2star-nan",
+        "fid-delta-ref-inf", "fid-t2star-nan", "odmr-points-zero",
     ],
 )
-def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected):
+def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected, message):
     if config is not None:
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(config))
         argv = ["nv", "--config", str(path)]
-    code, out = run(capsys, *argv, "--seed", "1")
+    code = main([*argv, "--seed", "1"])
+    out, err = capsys.readouterr()
     assert code == expected
     if expected == EXIT_OK:
         record = json.loads(out, parse_constant=pytest.fail)
@@ -195,3 +198,4 @@ def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected):
         assert np.isfinite(record["outputs"]["k3"])
     else:
         assert out == ""
+        assert message in err and "Traceback" not in err

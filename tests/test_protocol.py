@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,7 +21,7 @@ from nvlgi.protocol import (
     standard_qutrit_scheme,
 )
 
-from conftest import random_density
+from conftest import random_density, random_unitary
 
 THETA_STAR = 0.416 * np.pi
 VN = standard_qutrit_scheme(UpdateRule.VON_NEUMANN)
@@ -251,8 +251,8 @@ def _oracle_mean_q(rho, scheme):
 def _oracle_post_state(rho, scheme, outcome):
     projs = [p for label, p in scheme.projectors if scheme.outcome_of_label[label] == outcome]
     if scheme.update_rule is UpdateRule.LUDERS:
-        projs = [sum(projs)]
-    return sum(p @ rho @ p for p in projs)
+        projs = [sum(projs, np.zeros_like(rho))]
+    return sum((p @ rho @ p for p in projs), np.zeros_like(rho))
 
 
 def _oracle_pair_correlator(i, j, u, scheme):
@@ -331,3 +331,91 @@ class TestLgTermsKernel:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_qutrit_luders_bound_any_theta(self, theta):
         assert k3_protocol(theta, LU).k3 <= 1.5 + 1e-9
+
+
+def _oracle_lg_terms(theta, n, scheme, measure_at_t2_for_q3):
+    """The LG terms on density matrices: branch the state at t_k, evolve each branch once more."""
+    u = rotation_unitary(theta, scheme.dim)
+    rho = evolve(basis_state(0, scheme.dim), u)
+    terms = [_oracle_mean_q(rho, scheme)]
+    for k in range(2, n):
+        posts = {v: _oracle_post_state(rho, scheme, v) for v in (+1, -1)}
+        terms.append(sum(v * _oracle_mean_q(evolve(post, u), scheme) for v, post in posts.items()))
+        rho = evolve(posts[+1] + posts[-1] if k == 2 and measure_at_t2_for_q3 else rho, u)
+    terms.append(-_oracle_mean_q(rho, scheme))
+    return terms
+
+
+@st.composite
+def rotated_schemes(draw):
+    """Basis projectors rotated by a random unitary W (W P W^dagger), grouped at random.
+
+    Basis vectors that share a label form one projector of rank >= 2, and
+    labels get random outcomes, so every qutrit scheme has an outcome of
+    rank >= 2.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    label_of = draw(st.lists(st.integers(0, dim - 1), min_size=dim, max_size=dim))
+    labels = sorted(set(label_of))
+    outcomes = draw(st.lists(st.sampled_from([+1, -1]), min_size=len(labels),
+                             max_size=len(labels)))
+    w = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), dim)
+    projectors = tuple(
+        (f"L{lab}", w @ sum(basis_projector(j, dim) for j in range(dim) if label_of[j] == lab)
+         @ w.conj().T)
+        for lab in labels
+    )
+    scheme = MeasurementScheme(
+        projectors=projectors,
+        outcome_of_label={f"L{lab}": v for lab, v in zip(labels, outcomes)},
+        update_rule=draw(st.sampled_from(list(UpdateRule))),
+    )
+    scheme.validate()
+    return scheme
+
+
+class TestRotatedSchemes:
+    @settings(deadline=None)
+    @given(
+        rotated_schemes(),
+        st.integers(3, 6),
+        st.booleans(),
+        st.lists(st.floats(-2 * np.pi, 2 * np.pi), max_size=8),
+    )
+    def test_lg_terms_match_density_matrix_oracle(self, scheme, n, measured, thetas):
+        got = np.array(_lg_terms(np.array(thetas), n, scheme, measure_at_t2_for_q3=measured))
+        assert got.shape == (n, len(thetas))
+        for i, theta in enumerate(thetas):
+            expected = _oracle_lg_terms(theta, n, scheme, measured)
+            assert np.abs(got[:, i] - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(STANDARD_SCHEMES))
+    def test_measured_path_of_standard_schemes_matches_oracle(self, name):
+        scheme = STANDARD_SCHEMES[name]
+        thetas = np.linspace(-1.0, 4.0, 11)
+        for n in range(3, 11):
+            got = np.array(_lg_terms(thetas, n, scheme, measure_at_t2_for_q3=True))
+            expected = np.array([_oracle_lg_terms(t, n, scheme, True) for t in thetas]).T
+            assert np.abs(got - expected).max() < 1e-12
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(st.sampled_from(sorted(STANDARD_SCHEMES)).map(STANDARD_SCHEMES.get),
+                  rotated_schemes()),
+        st.data(),
+    )
+    def test_measure_branches_on_random_states(self, scheme, data):
+        d = scheme.dim
+        parts = data.draw(hnp.arrays(float, (2, d, d), elements=st.floats(-1, 1)))
+        a = parts[0] + 1j * parts[1]
+        positive = a @ a.conj().T
+        assume(np.trace(positive).real > 1e-6)
+        rho = positive / np.trace(positive).real
+        branches = measure(rho, scheme)
+        assert [b.outcome for b in branches] == [+1, -1]
+        probs = [b.probability for b in branches]
+        assert min(probs) >= 0
+        assert abs(sum(probs) - 1) < 1e-12
+        for b in branches:
+            if b.post_state is not None:
+                assert abs(np.trace(b.post_state) - 1) < 1e-12
