@@ -174,6 +174,8 @@ def cmd_ideal(args) -> int:
     scheme = _scheme(args)
     inputs = {"scheme": args.scheme, "system": args.system, "n": args.n}
     if args.sweep:
+        if args.n != 3:
+            raise UsageError(f"--sweep maximises K3 only, so --n must be 3, got {args.n}")
         theta_star, k_max = find_max_k3(scheme, args.grid)
         outputs = {
             "theta_star": format_theta(theta_star),
@@ -246,14 +248,21 @@ def cmd_characterize(args) -> int:
         raise UsageError(f"--noise must be >= 0, got {args.noise}")
     if args.t2star <= 0:
         raise UsageError(f"--t2star must be positive, got {args.t2star}")
-    if args.points < 1:
-        raise UsageError(f"--points must be >= 1, got {args.points}")
+    points = args.points
+    if args.kind == "cg-repeat":
+        if points is not None:
+            raise UsageError("--points does not apply to cg-repeat, whose length is --kmax")
+    else:
+        points = 101 if points is None else points
+        least = 5 if args.kind == "fid" else 1  # the decay fit needs five points
+        if points < least:
+            raise UsageError(f"--points must be >= {least} for {args.kind}, got {points}")
     seed, seeded = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     if args.kind == "odmr":
         model = NvModel()
         center = model.mw_transition(0)
-        freqs = np.linspace(center - 6e6, center + 6e6, args.points)
+        freqs = np.linspace(center - 6e6, center + 6e6, points)
         curve = odmr_spectrum(freqs, apply_cg=args.cg, p=args.p)
         inputs = {"kind": "odmr", "p": args.p, "apply_cg": args.cg}
         outputs = {
@@ -270,7 +279,7 @@ def cmd_characterize(args) -> int:
     else:
         t2 = args.t2star
         model = ImperfectionModel(t2_star=t2, seed=seed)
-        t_grid = np.linspace(0.0, 2.0 * t2, args.points)
+        t_grid = np.linspace(0.0, 2.0 * t2, points)
         curve = fid_curve(model, t_grid, args.delta_ref, readout_sigma=args.noise, rng=rng)
         t2_hat, t2_err = fit_gaussian_decay(curve)
         inputs = {"kind": "fid", "t2_star": t2, "delta_ref": args.delta_ref, "noise": args.noise}
@@ -301,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ideal.add_argument("--system", choices=("qutrit", "qubit"), default="qutrit")
     p_ideal.add_argument("--n", type=int, default=3, help="number of times in the LG string")
     p_ideal.add_argument("--sweep", action="store_true", help="maximise K3 over theta")
-    p_ideal.add_argument("--grid", type=int, default=10_000)
+    p_ideal.add_argument("--grid", type=int, default=10_000,
+                         help="checked (>= 100) and recorded, but unused: the sweep is exact")
     common(p_ideal)
     p_ideal.set_defaults(func=cmd_ideal)
 
@@ -324,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_char.add_argument("--kmax", type=int, default=30)
     p_char.add_argument("--t2star", type=_duration, default=62e-6, help="e.g. 62us or 6.2e-5")
     p_char.add_argument("--delta-ref", dest="delta_ref", type=float, default=50e3)
-    p_char.add_argument("--points", type=int, default=101)
+    p_char.add_argument("--points", type=int, default=None,
+                        help="curve length for odmr and fid (default 101)")
     p_char.add_argument("--noise", type=float, default=0.0, help="Gaussian readout sigma")
     common(p_char)
     p_char.set_defaults(func=cmd_characterize)

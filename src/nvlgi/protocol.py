@@ -237,7 +237,7 @@ def k3_protocol(
 def analytic_correlators(theta: float) -> CorrelatorSet:
     """Closed-form correlators for the qutrit protocol with per-projector updates.
 
-    Validated against ``k3_protocol`` (the density-matrix path is the
+    Validated against ``k3_protocol`` (the LG kernel ``_lg_terms`` is the
     authority); reaches K3 = 1.756 near theta = 0.416*pi.
     """
     q2 = 0.25 + math.cos(theta) - 0.25 * math.cos(2 * theta)
@@ -271,39 +271,26 @@ def classical_extrema(n: int) -> tuple[int, int]:
 def find_max_k3(
     scheme: MeasurementScheme, grid_points: int = 10_000
 ) -> tuple[float, float]:
-    """Maximise K3(theta) over [0, pi]: grid scan plus golden-section refinement.
+    """Maximise K3(theta) over [0, pi] exactly: the best end point or root of K3'.
 
-    Deterministic; ties broken toward the smallest theta. Returns
-    (theta_star, k3_max).
+    ``grid_points`` is accepted and checked (>= 100) but not used; the result
+    does not depend on it. Deterministic; ties broken toward the smallest
+    theta. Returns (theta_star, k3_max).
     """
     if grid_points < 100:
         raise ValueError("grid_points must be >= 100")
-
-    def k3(theta):
-        return sum(_lg_terms(theta, 3, scheme))
-
-    thetas = np.linspace(0.0, np.pi, grid_points)
-    values = k3(thetas)
+    # U(theta) has entries of degree 1 in (cos theta, sin theta) for spin 1, which
+    # is degree 2 in theta/2, and of degree 1 in theta/2 for spin 1/2. Each K3 term
+    # is psi^dagger Q psi with psi at most two rotations applied to |0>, so for
+    # both dimensions K3 = sum_k c_k z^k, z = exp(i theta/2), |k| <= 8 (period
+    # 4 pi): 17 equispaced values give the c_k exactly, and K3' = 0 where
+    # sum_k k c_k z^(k+8) = 0. Every root is a candidate; K3 is evaluated exactly
+    # at each, so a spurious one cannot win.
+    nodes = 4 * np.pi * np.arange(17) / 17
+    c = np.fft.fftshift(np.fft.fft(sum(_lg_terms(nodes, 3, scheme)))) / 17
+    k = np.arange(-8, 9)
+    thetas = 2 * np.angle(np.roots((k * c)[::-1])) % (4 * np.pi)
+    thetas = np.sort(np.concatenate(([0.0, np.pi], thetas[thetas <= np.pi])))
+    values = sum(_lg_terms(thetas, 3, scheme))
     best = int(values.argmax())
-
-    a = thetas[max(best - 1, 0)]
-    b = thetas[min(best + 1, grid_points - 1)]
-    invphi = (math.sqrt(5) - 1) / 2
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = k3(c), k3(d)
-    while b - a > 1e-8:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = k3(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = k3(d)
-    theta_star = (a + b) / 2
-    k_star = k3(theta_star)
-    # endpoints can beat the interior stationary point (flat-at-zero schemes)
-    if values[best] > k_star:
-        theta_star, k_star = thetas[best], float(values[best])
-    return float(theta_star), float(k_star)
+    return float(thetas[best]), float(values[best])

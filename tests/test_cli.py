@@ -177,11 +177,15 @@ def test_json_round_trip(tmp_path, capsys):
         (None, ["characterize", "fid", "--delta-ref", "inf"], EXIT_USAGE, "--delta-ref"),
         (None, ["characterize", "fid", "--t2star", "nan"], EXIT_USAGE, "--t2star"),
         (None, ["characterize", "odmr", "--points", "0"], EXIT_USAGE, "--points"),
+        (None, ["characterize", "fid", "--points", "4"], EXIT_USAGE, "--points"),
+        (None, ["characterize", "cg-repeat", "--points", "50"], EXIT_USAGE, "--points"),
+        (None, ["ideal", "--sweep", "--n", "5"], EXIT_USAGE, "--n"),
     ],
     ids=[
         "yaml-theta-float", "yaml-n-samples-str", "yaml-f-rabi-zero", "cli-theta-nan",
         "odmr-p-nan", "odmr-p-above-one", "cg-noise-nan", "cg-noise-negative",
-        "fid-delta-ref-inf", "fid-t2star-nan", "odmr-points-zero",
+        "fid-delta-ref-inf", "fid-t2star-nan", "odmr-points-zero", "fid-points-four",
+        "cg-repeat-points", "sweep-n-five",
     ],
 )
 def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected, message):

@@ -234,6 +234,18 @@ class TestFindMaxK3:
         with pytest.raises(ValueError):
             find_max_k3(VN, 50)
 
+    @pytest.mark.parametrize("rule", list(UpdateRule))
+    def test_qubit_maximum_is_pi_over_three(self, rule):
+        theta_star, k_max = find_max_k3(standard_qubit_scheme(rule))
+        assert abs(theta_star - np.pi / 3) < 1e-12
+        assert abs(k_max - 1.5) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(STANDARD_SCHEMES))
+    def test_result_does_not_depend_on_grid(self, name):
+        scheme = STANDARD_SCHEMES[name]
+        results = {find_max_k3(scheme, grid) for grid in (100, 1_000, 10_000)}
+        assert len(results) == 1
+
 
 def test_correlator_set_identity_random(rng):
     for _ in range(100):
@@ -397,6 +409,15 @@ class TestRotatedSchemes:
             got = np.array(_lg_terms(thetas, n, scheme, measure_at_t2_for_q3=True))
             expected = np.array([_oracle_lg_terms(t, n, scheme, True) for t in thetas]).T
             assert np.abs(got - expected).max() < 1e-12
+
+    @settings(deadline=None)
+    @given(rotated_schemes(), st.lists(st.floats(0.0, np.pi), max_size=8))
+    def test_find_max_k3_is_the_maximum(self, scheme, thetas):
+        theta_star, k_max = find_max_k3(scheme)
+        assert 0.0 <= theta_star <= np.pi
+        assert abs(k3_protocol(theta_star, scheme).k3 - k_max) < 1e-12
+        for theta in thetas:
+            assert k_max >= k3_protocol(theta, scheme).k3 - 1e-12
 
     @settings(deadline=None)
     @given(
