@@ -78,29 +78,37 @@ class DetuningSample:
     weight: float
 
 
-def sample_detunings(model: ImperfectionModel) -> list[DetuningSample]:
-    """Detuning ensemble: i.i.d. normal draws or Gauss-Hermite nodes.
+def detuning_ensemble(model: ImperfectionModel) -> tuple[np.ndarray, np.ndarray]:
+    """Detuning ensemble as two arrays over the sample axis: (delta0 in Hz, weight).
 
-    Both modes are deterministic given (seed, n_samples, averaging) and
-    represent Normal(0, sigma^2) with weights summing to 1.
+    I.i.d. normal draws or Gauss-Hermite nodes, deterministic given (seed, n_samples,
+    averaging), representing Normal(0, sigma^2) with weights summing to 1. Raises
+    ``ValueError`` naming ``n_samples`` where numpy's Gauss-Hermite rule overflows.
     """
-    sigma = model.sigma_detuning
-    n = model.n_samples
+    sigma, n = model.sigma_detuning, model.n_samples
+    weights = np.full(n, 1.0 / n)
     if sigma == 0.0:
-        return [DetuningSample(0.0, 1.0 / n)] * n
-    if model.averaging is Averaging.MONTE_CARLO:
-        rng = np.random.default_rng(model.seed)
-        draws = rng.normal(0.0, sigma, size=n)
-        return [DetuningSample(float(d), 1.0 / n) for d in draws]
-    nodes, weights = np.polynomial.hermite.hermgauss(n)
-    deltas = SQRT2 * sigma * nodes
-    weights = weights / np.sqrt(np.pi)
-    return [DetuningSample(float(d), float(w)) for d, w in zip(deltas, weights)]
+        deltas = np.zeros(n)
+    elif model.averaging is Averaging.MONTE_CARLO:
+        deltas = np.random.default_rng(model.seed).normal(0.0, sigma, size=n)
+    else:
+        # underflow inside hermgauss is harmless up to 370 nodes; overflow is not
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                nodes, weights = np.polynomial.hermite.hermgauss(n)
+        except FloatingPointError as exc:
+            raise ValueError(f"n_samples = {n}: the Gauss-Hermite rule overflows ({exc})") from exc
+        deltas = SQRT2 * sigma * nodes
+        weights = weights / np.sqrt(np.pi)
+    if not abs(weights.sum() - 1.0) <= 1e-12:  # also fails inf and NaN
+        raise ValueError(f"n_samples = {n}: ensemble weights are not finite or do not sum to 1")
+    return deltas, weights
 
 
-def detuning_arrays(samples: list[DetuningSample]) -> tuple[np.ndarray, np.ndarray]:
-    """The ensemble as two arrays over the sample axis: (delta0 in Hz, weight)."""
-    return np.array([s.delta0 for s in samples]), np.array([s.weight for s in samples])
+def sample_detunings(model: ImperfectionModel) -> list[DetuningSample]:
+    """``detuning_ensemble`` as a list of ``DetuningSample`` objects."""
+    deltas, weights = detuning_ensemble(model)
+    return [DetuningSample(d, w) for d, w in zip(deltas.tolist(), weights.tolist())]
 
 
 def electron_sz(dim: int) -> np.ndarray:
@@ -151,7 +159,8 @@ def dephasing_evolution(
     t = np.asarray(duration, dtype=float)
     if (t < 0).any():
         raise ValueError("duration must be non-negative")
-    deltas, weights = detuning_arrays(samples)
+    deltas = np.array([sample.delta0 for sample in samples])
+    weights = np.array([sample.weight for sample in samples])
     t = t[..., None, None]
     static = np.exp(-1j * t * (h[:, None] - h[None, :]))
     noise = np.exp(-2j * np.pi * (t * (s[:, None] - s[None, :]))[..., None] * deltas) @ weights

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SQRT2, rotation_unitary, tensor
-from .noise import (
-    ImperfectionModel,
-    detuning_arrays,
-    electron_sz,
-    imperfect_initial_state,
-    sample_detunings,
-)
+from .noise import ImperfectionModel, detuning_ensemble, imperfect_initial_state
 from .protocol import CorrelatorSet
 
 GAMMA_E_HZ_PER_G = 2.8025e6  # electron gyromagnetic ratio
@@ -29,7 +23,6 @@ GAMMA_N_HZ_PER_G = 307.7  # 14N nuclear gyromagnetic ratio
 
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3, dtype=complex)
-_XE = np.array([[0, 1], [1, 0]], dtype=complex)
 
 # postselected electron-|0> levels |4>, |5>, |6> as 0-based indices
 POSTSELECT_IDX = (3, 4, 5)
@@ -108,21 +101,12 @@ def build_nv_hamiltonian(model: NvModel) -> np.ndarray:
     return np.diag(2 * np.pi * model.level_energies()).astype(complex)
 
 
-def nuclear_rotation(theta: float) -> np.ndarray:
-    """Ideal three-level Rabi rotation on the nuclear spin, both manifolds."""
-    return tensor(_I2, rotation_unitary(theta, dim=3))
-
-
-def _flip_unitary(protected: int) -> list[np.ndarray]:
-    """Per-subspace electron flips for the unprotected nuclear states."""
-    flips = []
-    for m in range(3):
-        if m == protected:
-            continue
-        pm = np.zeros((3, 3), dtype=complex)
-        pm[m, m] = 1.0
-        flips.append(tensor(_XE, pm) + tensor(_I2, _I3 - pm))
-    return flips
+# per protected nuclear state: the electron flips (levels i <-> i+-3) on each unprotected
+# state and on both, as level permutations, so F rho F^T permutes rows and columns
+_FLIPS = tuple(
+    tuple(np.array([(i + 3 * (i % 3 in ms)) % 6 for i in range(6)]) for ms in ((a,), (b,), (a, b)))
+    for a, b in ((1, 2), (0, 2), (0, 1))
+)
 
 
 def _check_flip_prob(p: float | np.ndarray) -> None:
@@ -132,13 +116,32 @@ def _check_flip_prob(p: float | np.ndarray) -> None:
         raise ValueError(f"flip probability must be in [0, 1], got {p}")
 
 
+def _mean_gate(variant: int, q: np.ndarray, weights: np.ndarray):
+    """The gate averaged over flip probabilities ``q`` (last axis) with ``weights``.
+
+    Both unprotected subspaces flip independently with the same q, so one draw is
+    (1-q)^2 rho + q(1-q) (F1 rho F1 + F2 rho F2) + q^2 F12 rho F12: the average
+    needs only E[q] and E[q^2]. Leading axes of ``q`` broadcast against states.
+    """
+    m1 = (q @ weights)[..., None, None]
+    m2 = (q**2 @ weights)[..., None, None]
+
+    def apply(rho: np.ndarray) -> np.ndarray:
+        rho = np.asarray(rho)
+        f1, f2, f12 = (rho[..., f[:, None], f] for f in _FLIPS[variant - 1])
+        return (1 - 2 * m1 + m2) * rho + (m1 - m2) * (f1 + f2) + m2 * f12
+
+    return apply
+
+
 def controlled_gate(variant: int, p: float | np.ndarray):
     """Channel flipping the electron on nuclear states other than the protected one.
 
     ``variant`` 1..3 protects |+1>n, |0>n, |-1>n respectively. Each
     unprotected subspace is flipped independently with probability p
     (one selective MW pulse per subspace); the protected subspace is
-    untouched exactly and the channel is trace-preserving.
+    untouched exactly and the channel is trace-preserving. It is the averaged
+    gate of ``population_table`` at E[q] = p, E[q^2] = p^2.
 
     ``p`` may be an array, every element in [0, 1]; the channel then maps a
     state, or a stack of states broadcast against it, to one state per
@@ -147,15 +150,7 @@ def controlled_gate(variant: int, p: float | np.ndarray):
     if not 1 <= variant <= 3:
         raise ValueError(f"controlled_gate variant must be 1..3, got {variant}")
     _check_flip_prob(p)
-    p = np.asarray(p, dtype=float)[..., None, None]
-    flips = _flip_unitary(variant - 1)
-
-    def apply(rho: np.ndarray) -> np.ndarray:
-        for f in flips:
-            rho = p * (f @ rho @ f.conj().T) + (1 - p) * rho
-        return rho
-
-    return apply
+    return _mean_gate(variant, np.asarray(p, dtype=float)[..., None], np.ones(1))
 
 
 def run_inrm_experiment(
@@ -174,37 +169,34 @@ def run_inrm_experiment(
 
     The gate is instantaneous by default, parameterized by the measured
     flip probability. ``mw_rabi`` switches to finite-duration selective MW
-    pi pulses whose transfer degrades with the detuning delta0.
+    pi pulses whose transfer degrades with the detuning delta0, the only way
+    delta0 acts (its phase cancels). ``f_rabi`` is checked but inert.
     """
     if cg_variant not in (1, 2, 3, 4):
         raise ValueError(f"cg_variant must be 1..4, got {cg_variant}")
     model = imperfections or ImperfectionModel.ideal()
-    return _inrm_populations(theta, cg_variant, model, np.array([delta0]), f_rabi, mw_rabi)[0]
+    ensemble = np.array([delta0], dtype=float), np.ones(1)
+    return _inrm_populations(theta, (cg_variant,), model, f_rabi, mw_rabi, *ensemble)[0].copy()
 
 
-def _inrm_populations(
-    theta: float,
-    cg_variant: int,
-    model: ImperfectionModel,
-    deltas: np.ndarray,
-    f_rabi: float,
-    mw_rabi: float | None,
-) -> np.ndarray:
-    """``run_inrm_experiment`` for every detuning in ``deltas``: shape (len(deltas), 6)."""
-    u_duration = PulseParams(theta=theta, f_rabi=f_rabi).u_duration
-    # quasi-static detuning phase during the RF pulse; it commutes with the
-    # drive and is diagonal, so it multiplies rows: one (6, 6) slice per sample
-    phase = np.exp(-1j * 2 * np.pi * deltas[:, None] * u_duration * np.diag(electron_sz(6)).real)
-    u = phase[:, :, None] * nuclear_rotation(theta)
-    u_dag = u.conj().swapaxes(-1, -2)
+def _inrm_populations(theta, variants, model, f_rabi, mw_rabi, deltas, weights) -> np.ndarray:
+    """Populations (len(variants), 6), the gate averaged over ``deltas`` with ``weights``.
+
+    U(theta, delta) = D(delta) (I2 (x) R3(theta)), D diagonal and constant on each
+    electron block; the initial state is diagonal, so D cancels before the gate and
+    on the electron-diagonal blocks the populations read: delta acts only through q.
+    """
+    if not f_rabi > 0:
+        raise ValueError(f"f_rabi must be positive, got {f_rabi}")
+    q = np.full(deltas.shape, model.flip_prob_p)
+    if mw_rabi is not None:
+        q *= _pulse_flip_prob(deltas, mw_rabi)
+    _check_flip_prob(q)
+    u = tensor(_I2, rotation_unitary(theta, dim=3))  # nuclear rotation in both manifolds
+    u_dag = u.conj().T
     rho = u @ imperfect_initial_state(model) @ u_dag
-    if cg_variant != 4:
-        p_eff = model.flip_prob_p
-        if mw_rabi is not None:
-            p_eff *= _pulse_flip_prob(deltas, mw_rabi)
-        rho = controlled_gate(cg_variant, p_eff)(rho)
-    rho = u @ rho @ u_dag
-    return rho.diagonal(axis1=-2, axis2=-1).real.copy()
+    states = np.stack([rho if j == 4 else _mean_gate(j, q, weights)(rho) for j in variants])
+    return (u @ states @ u_dag).diagonal(axis1=-2, axis2=-1).real
 
 
 def population_table(
@@ -215,10 +207,12 @@ def population_table(
 ) -> np.ndarray:
     """6x4 table P[i][j]: level populations for the four experiment variants.
 
-    Columns are averaged over the detuning ensemble of the imperfection
-    model (deterministic given seed and averaging mode). Raises
-    ``DegeneratePostselectionError`` for flip probability 0, where the
-    postselected populations would overcount every outcome.
+    The detuning phase cancels in every population, so the detuning ensemble is
+    drawn only with ``mw_rabi``, whose transfer it degrades; the gate is then
+    averaged through E[q] and E[q^2] of its flip probability q, at a cost that does
+    not grow with ``n_samples``. ``f_rabi``, and ``t2_star`` without ``mw_rabi``,
+    are checked but do not change the table. Raises ``DegeneratePostselectionError``
+    for flip probability 0, where the postselected populations overcount every outcome.
     """
     model = imperfections or ImperfectionModel.ideal()
     if model.flip_prob_p == 0.0:
@@ -226,11 +220,8 @@ def population_table(
             "flip probability 0: the controlled gate never marks the ancilla, "
             "so the postselected populations overcount every outcome"
         )
-    deltas, weights = detuning_arrays(sample_detunings(model))
-    return np.column_stack([
-        weights @ _inrm_populations(theta, j, model, deltas, f_rabi, mw_rabi)
-        for j in range(1, 5)
-    ])
+    ensemble = (np.zeros(1), np.ones(1)) if mw_rabi is None else detuning_ensemble(model)
+    return _inrm_populations(theta, (1, 2, 3, 4), model, f_rabi, mw_rabi, *ensemble).T.copy()
 
 
 def postselected_weights(table: np.ndarray) -> np.ndarray:

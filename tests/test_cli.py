@@ -116,6 +116,19 @@ class TestNvCommand:
         code, _ = run(capsys, "nv", "--flip-prob", "0.0", "--seed", "1")
         assert code == EXIT_NUMERICAL
 
+    def test_large_ensemble_matches_single_sample(self, tmp_path, capsys):
+        # nv never passes mw_rabi, so no ensemble is drawn: 400 Gauss-Hermite
+        # nodes, beyond what numpy's rule can give, change nothing
+        texts = []
+        for n in ("400", "1"):
+            path = tmp_path / f"n{n}.csv"
+            argv = ["nv", "--seed", "1", "--n-samples", n, "--format", "csv", "--output", str(path)]
+            assert main(argv) == EXIT_OK
+            texts.append(path.read_text())
+        capsys.readouterr()
+        assert "nan" not in texts[0]
+        assert texts[0] == texts[1]
+
     def test_csv_output(self, tmp_path, capsys):
         path = tmp_path / "out.csv"
         assert main(["nv", "--seed", "5", "--format", "csv", "--output", str(path)]) == EXIT_OK

@@ -12,6 +12,7 @@ from nvlgi.noise import (
     FitError,
     ImperfectionModel,
     dephasing_evolution,
+    detuning_ensemble,
     electron_sz,
     fid_curve,
     fit_gaussian_decay,
@@ -73,6 +74,28 @@ class TestSampleDetunings:
     def test_deterministic_given_seed(self):
         model = ImperfectionModel(averaging=Averaging.MONTE_CARLO, n_samples=50, seed=9)
         assert sample_detunings(model) == sample_detunings(model)
+
+    @pytest.mark.parametrize("averaging", list(Averaging))
+    def test_objects_match_arrays(self, averaging):
+        model = ImperfectionModel(n_samples=13, averaging=averaging, seed=4)
+        deltas, weights = detuning_ensemble(model)
+        samples = sample_detunings(model)
+        assert [s.delta0 for s in samples] == deltas.tolist()
+        assert [s.weight for s in samples] == weights.tolist()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gauss_hermite_up_to_370_nodes(self):
+        # numpy's rule underflows harmlessly inside from 269 nodes on
+        deltas, weights = detuning_ensemble(ImperfectionModel(n_samples=370))
+        assert np.isfinite(deltas).all()
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_samples", [371, 400])
+    def test_gauss_hermite_overflow_is_value_error(self, n_samples):
+        # numpy 2.4 gives all-zero weights at 371 nodes and NaN weights beyond
+        with pytest.raises(ValueError, match="n_samples"):
+            detuning_ensemble(ImperfectionModel(n_samples=n_samples))
 
 
 class TestInitialState:
@@ -194,6 +217,11 @@ class TestFidCurve:
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
             fid_curve(ImperfectionModel(), np.array([-1.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_overflowing_quadrature(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            fid_curve(ImperfectionModel(), np.linspace(0, T2, 10), n_quadrature=400)
 
 
 class TestFitGaussianDecay:

@@ -23,6 +23,7 @@ from nvlgi.nv import (
     repeated_cg,
     run_inrm_experiment,
 )
+from nvlgi.nv import _mean_gate  # the ensemble-averaged gate behind population_table
 from nvlgi.protocol import UpdateRule, k3_protocol, standard_qutrit_scheme
 
 from conftest import random_density
@@ -179,6 +180,20 @@ class TestControlledGate:
         for pk, rk, ok in zip(p, rho, out):
             assert np.array_equal(controlled_gate(variant, float(pk))(rk), ok)
 
+    @settings(deadline=None)
+    @given(
+        variant=st.integers(1, 3),
+        q=hnp.arrays(float, st.integers(1, 50), elements=st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_weighted_mean_of_gates_is_moment_form(self, variant, q, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, 6)
+        weights = rng.uniform(0.1, 1.0, q.size)
+        weights /= weights.sum()
+        mean = np.einsum("s,sij->ij", weights, controlled_gate(variant, q)(rho))
+        assert np.abs(_mean_gate(variant, q, weights)(rho) - mean).max() < 1e-14
+
 
 class TestInrmExperiment:
     def test_no_rotation_no_gate(self):
@@ -262,6 +277,44 @@ class TestAssembly:
         table = population_table(theta, model, f_rabi=f_rabi, mw_rabi=mw_rabi)
         ref = per_sample_population_table(theta, model, f_rabi, mw_rabi)
         assert np.abs(table - ref).max() < 1e-14
+
+    @pytest.mark.parametrize(
+        "averaging, n_samples",
+        [(Averaging.MONTE_CARLO, 400), (Averaging.GAUSS_HERMITE, 61), (Averaging.GAUSS_HERMITE, 201)],
+    )
+    def test_large_ensembles_match_per_sample_loop(self, averaging, n_samples):
+        # a slow pulse against a wide ensemble spreads the flip probability
+        model = ImperfectionModel(t2_star=20e-6, n_samples=n_samples, averaging=averaging, seed=5)
+        for theta, mw_rabi in ((THETA_STAR, 10e3), (-1.1, 40e3)):
+            table = population_table(theta, model, mw_rabi=mw_rabi)
+            ref = per_sample_population_table(theta, model, 20e3, mw_rabi)
+            assert np.abs(table - ref).max() < 1e-14
+
+    @settings(deadline=None)
+    @given(
+        model=noisy_models,
+        n_samples=st.integers(1, 2000),
+        theta=thetas,
+    )
+    def test_without_finite_gate_no_ensemble_acts(self, model, n_samples, theta):
+        # the detuning phase cancels, so no ensemble is drawn: not even one
+        # that numpy's Gauss-Hermite rule cannot give (371 nodes and more)
+        model = model.with_(n_samples=n_samples)
+        single = model.with_(t2_star=None, n_samples=1)
+        assert np.array_equal(population_table(theta, model), population_table(theta, single))
+
+    @pytest.mark.parametrize("mw_rabi", [None, 30e3])
+    def test_f_rabi_does_not_change_table(self, mw_rabi):
+        model = ImperfectionModel()
+        a = population_table(THETA_STAR, model, f_rabi=20e3, mw_rabi=mw_rabi)
+        b = population_table(THETA_STAR, model, f_rabi=7e3, mw_rabi=mw_rabi)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_samples", [371, 400])
+    def test_overflowing_quadrature_is_value_error(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            population_table(THETA_STAR, ImperfectionModel(n_samples=n_samples), mw_rabi=1e5)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
