@@ -4,32 +4,20 @@ ideal-negative-result measurement, postselection, and noise."""
 
 __version__ = "0.1.0"
 
-from .linalg import (
-    SpinOps,
-    evolve,
-    expectation,
-    rotation_unitary,
-    spin1_operators,
-    tensor,
-)
 from .noise import (
     Averaging,
-    DetuningSample,
     FitError,
     ImperfectionModel,
     dephasing_evolution,
     fid_curve,
     fit_gaussian_decay,
     imperfect_initial_state,
-    sample_detunings,
     sigma_from_t2star,
 )
 from .nv import (
     DegeneratePostselectionError,
     NvModel,
-    PulseParams,
     assemble_lg,
-    build_nv_hamiltonian,
     controlled_gate,
     fit_flip_probability,
     lg_run,
@@ -50,6 +38,7 @@ from .protocol import (
     k3_protocol,
     kn_string,
     measure,
+    rotation_unitary,
     standard_qubit_scheme,
     standard_qutrit_scheme,
 )
@@ -58,24 +47,18 @@ __all__ = [
     "Averaging",
     "CorrelatorSet",
     "DegeneratePostselectionError",
-    "DetuningSample",
     "FitError",
     "ImperfectionModel",
     "LgString",
     "MeasurementBranch",
     "MeasurementScheme",
     "NvModel",
-    "PulseParams",
-    "SpinOps",
     "UpdateRule",
     "analytic_correlators",
     "assemble_lg",
-    "build_nv_hamiltonian",
     "classical_extrema",
     "controlled_gate",
     "dephasing_evolution",
-    "evolve",
-    "expectation",
     "fid_curve",
     "find_max_k3",
     "fit_flip_probability",
@@ -90,10 +73,7 @@ __all__ = [
     "repeated_cg",
     "rotation_unitary",
     "run_inrm_experiment",
-    "sample_detunings",
     "sigma_from_t2star",
-    "spin1_operators",
     "standard_qubit_scheme",
     "standard_qutrit_scheme",
-    "tensor",
 ]

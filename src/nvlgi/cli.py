@@ -122,14 +122,16 @@ def _emit(record: dict, curves: dict[str, list] | None, args) -> None:
 
 
 def _resolve_seed(args, config_seed: int | None = None) -> tuple[int, bool]:
-    """Seed and whether it was given: --seed, then NVLGI_SEED, then the config, else random."""
-    if args.seed is not None:
-        return args.seed, True
+    """Seed and whether it was given: --seed, then NVLGI_SEED, then the config, else random.
+
+    The first given source wins and must be a non-negative integer.
+    """
     env = os.environ.get("NVLGI_SEED")
-    if env is not None:
-        return int(env), True
-    if config_seed is not None:
-        return config_seed, True
+    for source, value in (("--seed", args.seed), ("NVLGI_SEED", env), ("config seed", config_seed)):
+        if value is not None:
+            if not str(value).isdecimal():
+                raise UsageError(f"{source} must be a non-negative integer, got {value!r}")
+            return int(value), True
     return secrets.randbits(32), False
 
 
@@ -252,6 +254,8 @@ def cmd_characterize(args) -> int:
     if args.kind == "cg-repeat":
         if points is not None:
             raise UsageError("--points does not apply to cg-repeat, whose length is --kmax")
+        if args.kmax < 2:  # the log-linear fit needs k = 0, 1, 2
+            raise UsageError(f"--kmax must be >= 2 for cg-repeat, got {args.kmax}")
     else:
         points = 101 if points is None else points
         least = 5 if args.kind == "fid" else 1  # the decay fit needs five points

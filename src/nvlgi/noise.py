@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.optimize
 
-from .linalg import SQRT2, rotation_unitary, tensor
+from .protocol import rotation_unitary
 
 
 class Averaging(enum.Enum):
@@ -29,7 +29,7 @@ class FitError(RuntimeError):
 
 def sigma_from_t2star(t2_star: float) -> float:
     """Detuning standard deviation (Hz) from the inhomogeneous dephasing time."""
-    return 1.0 / (SQRT2 * np.pi * t2_star)
+    return 1.0 / (np.sqrt(2.0) * np.pi * t2_star)
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,8 @@ class ImperfectionModel:
         return replace(self, **kwargs)
 
 
+# kept only because perfbench/workloads.py reads ``.delta0``, until the next
+# benchmark change moves it to the (deltas, weights) arrays of ``detuning_ensemble``
 @dataclass(frozen=True)
 class DetuningSample:
     delta0: float  # Hz
@@ -98,7 +100,7 @@ def detuning_ensemble(model: ImperfectionModel) -> tuple[np.ndarray, np.ndarray]
                 nodes, weights = np.polynomial.hermite.hermgauss(n)
         except FloatingPointError as exc:
             raise ValueError(f"n_samples = {n}: the Gauss-Hermite rule overflows ({exc})") from exc
-        deltas = SQRT2 * sigma * nodes
+        deltas = np.sqrt(2.0) * sigma * nodes
         weights = weights / np.sqrt(np.pi)
     if not abs(weights.sum() - 1.0) <= 1e-12:  # also fails inf and NaN
         raise ValueError(f"n_samples = {n}: ensemble weights are not finite or do not sum to 1")
@@ -121,7 +123,7 @@ def electron_sz(dim: int) -> np.ndarray:
     if dim == 2:
         return sz2
     if dim == 6:
-        return tensor(sz2, np.eye(3))
+        return np.kron(sz2, np.eye(3))
     raise ValueError(f"no default electron Sz for dim {dim}")
 
 
@@ -139,10 +141,12 @@ def dephasing_evolution(
     rho: np.ndarray,
     h_static: np.ndarray,
     duration: float | np.ndarray,
-    samples: list[DetuningSample],
+    ensemble: tuple[np.ndarray, np.ndarray],
     noise_op: np.ndarray | None = None,
 ) -> np.ndarray:
     """Ensemble-averaged evolution under h_static + 2*pi*delta0*noise_op.
+
+    ``ensemble`` is the (delta0 in Hz, weight) pair of ``detuning_ensemble``.
 
     ``h_static`` (angular units, rad/s) and ``noise_op`` must be diagonal,
     so every sample only rephases the coherences:
@@ -159,8 +163,7 @@ def dephasing_evolution(
     t = np.asarray(duration, dtype=float)
     if (t < 0).any():
         raise ValueError("duration must be non-negative")
-    deltas = np.array([sample.delta0 for sample in samples])
-    weights = np.array([sample.weight for sample in samples])
+    deltas, weights = ensemble
     t = t[..., None, None]
     static = np.exp(-1j * t * (h[:, None] - h[None, :]))
     noise = np.exp(-2j * np.pi * (t * (s[:, None] - s[None, :]))[..., None] * deltas) @ weights
@@ -177,7 +180,7 @@ def imperfect_initial_state(model: ImperfectionModel) -> np.ndarray:
     rho_n = np.diag(
         [model.pol_n, (1.0 - model.pol_n) / 2, (1.0 - model.pol_n) / 2]
     ).astype(complex)
-    return tensor(rho_e, rho_n)
+    return np.kron(rho_e, rho_n)
 
 
 def fid_curve(
@@ -196,14 +199,14 @@ def fid_curve(
     Returns an array of shape (len(t_grid), 2) with columns (t, P0).
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    samples = sample_detunings(model.with_(n_samples=n_quadrature))
+    ensemble = detuning_ensemble(model.with_(n_samples=n_quadrature))
     half = rotation_unitary(np.pi / 2, dim=2)
     unhalf = half.conj().T
     h_ref = 2 * np.pi * delta_ref * electron_sz(2)
     rho0 = np.zeros((2, 2), dtype=complex)
     rho0[1, 1] = 1.0  # |0>e
     rho0 = half @ rho0 @ half.conj().T
-    rho = unhalf @ dephasing_evolution(rho0, h_ref, t_grid, samples) @ unhalf.conj().T
+    rho = unhalf @ dephasing_evolution(rho0, h_ref, t_grid, ensemble) @ unhalf.conj().T
     p0 = rho[:, 1, 1].real
     if readout_sigma > 0:
         if rng is None:

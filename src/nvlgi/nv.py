@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SQRT2, rotation_unitary, tensor
 from .noise import ImperfectionModel, detuning_ensemble, imperfect_initial_state
-from .protocol import CorrelatorSet
+from .protocol import CorrelatorSet, rotation_unitary
 
 GAMMA_E_HZ_PER_G = 2.8025e6  # electron gyromagnetic ratio
 GAMMA_N_HZ_PER_G = 307.7  # 14N nuclear gyromagnetic ratio
@@ -68,37 +67,6 @@ class NvModel:
         e = self.level_energies()
         col = {1: 0, 0: 1, -1: 2}[mi]
         return e[col] - e[3 + col]
-
-    def rf_transitions(self) -> tuple[float, float]:
-        """(omega_45, omega_56): nuclear transition frequencies in |0>e (Hz)."""
-        e = self.level_energies()
-        return abs(e[3] - e[4]), abs(e[4] - e[5])
-
-
-@dataclass(frozen=True)
-class PulseParams:
-    """Drive parameters; u_duration is tied to the requested rotation angle."""
-
-    theta: float
-    f_rabi: float = 20e3
-
-    def __post_init__(self) -> None:
-        if not self.f_rabi > 0:
-            raise ValueError(f"f_rabi must be positive, got {self.f_rabi}")
-
-    @property
-    def u_duration(self) -> float:
-        """RF pulse length for theta = sqrt(2)*pi*f_rabi*t."""
-        return self.theta / (SQRT2 * np.pi * self.f_rabi)
-
-
-def build_nv_hamiltonian(model: NvModel) -> np.ndarray:
-    """H_NV in angular units (rad/s): 2*pi*(D*Sz^2 + we*Sz + Q*Iz^2 + wn*Iz + A*Iz*Sz).
-
-    The electron is restricted to the (|1>e, |0>e) ancilla, so its Sz acts
-    as diag(1, 0); the result is 2*pi*diag(``model.level_energies()``).
-    """
-    return np.diag(2 * np.pi * model.level_energies()).astype(complex)
 
 
 # per protected nuclear state: the electron flips (levels i <-> i+-3) on each unprotected
@@ -192,7 +160,7 @@ def _inrm_populations(theta, variants, model, f_rabi, mw_rabi, deltas, weights) 
     if mw_rabi is not None:
         q *= _pulse_flip_prob(deltas, mw_rabi)
     _check_flip_prob(q)
-    u = tensor(_I2, rotation_unitary(theta, dim=3))  # nuclear rotation in both manifolds
+    u = np.kron(_I2, rotation_unitary(theta, dim=3))  # nuclear rotation in both manifolds
     u_dag = u.conj().T
     rho = u @ imperfect_initial_state(model) @ u_dag
     states = np.stack([rho if j == 4 else _mean_gate(j, q, weights)(rho) for j in variants])
@@ -290,7 +258,7 @@ def odmr_spectrum(
     model = model or NvModel()
     freqs = np.asarray(freqs, dtype=float)
     lines = np.array([model.mw_transition(mi) for mi in (1, 0, -1)])
-    rho = tensor(np.diag([0.0, 1.0]), _I3 / 3)
+    rho = np.kron(np.diag([0.0, 1.0]), _I3 / 3)
     if apply_cg:
         rho = controlled_gate(cg_variant, p)(rho)
     # per-nuclear-state electron populations before the sweep pulse

@@ -5,7 +5,8 @@ measurement (Luders: project with the summed eigenspace projector;
 von Neumann: project with each rank-1 projector and sum), the three-time
 protocol that assembles K3, general n-time strings, the closed-form
 correlators for the qutrit protocol, macrorealist bounds by enumeration,
-and the search for the violation-maximising rotation angle.
+the search for the violation-maximising rotation angle, and the spin
+rotation U(theta) = exp(-i*theta*Sx) that drives the protocol.
 """
 
 from __future__ import annotations
@@ -18,10 +19,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import basis_projector, rotation_unitary
-
 PROJECTOR_TOL = 1e-10
 BRANCH_PROB_FLOOR = 1e-14
+
+
+def rotation_unitary(theta: float | np.ndarray, dim: int = 3) -> np.ndarray:
+    """Rotation exp(-i*theta*Sx) for spin-1 (dim=3) or spin-1/2 (dim=2).
+
+    ``theta`` may be a scalar or an array; the result has shape
+    ``theta.shape + (dim, dim)``. The spin-1 form is closed: corner entries
+    (cos(theta)-1)/2 and (cos(theta)+1)/2, centre cos(theta), edges
+    -i*sin(theta)/sqrt(2).
+    """
+    if dim not in (2, 3):
+        raise ValueError(f"rotation_unitary supports dim 2 or 3, got {dim}")
+    theta = np.asarray(theta, dtype=float)
+    u = np.empty(theta.shape + (dim, dim), dtype=complex)
+    if dim == 3:
+        c, s = np.cos(theta), np.sin(theta)
+        u[..., 0, 0] = u[..., 2, 2] = (1 + c) / 2
+        u[..., 0, 2] = u[..., 2, 0] = (c - 1) / 2
+        u[..., 1, 1] = c
+        u[..., 0, 1] = u[..., 1, 0] = u[..., 1, 2] = u[..., 2, 1] = -1j * (s / np.sqrt(2.0))
+    else:
+        ch, sh = np.cos(theta / 2), np.sin(theta / 2)
+        u[..., 0, 0] = u[..., 1, 1] = ch
+        u[..., 0, 1] = u[..., 1, 0] = -1j * sh
+    return u
+
+
+def basis_projector(index: int, dim: int) -> np.ndarray:
+    """Rank-1 projector |index><index| in a dim-dimensional space."""
+    p = np.zeros((dim, dim), dtype=complex)
+    p[index, index] = 1.0
+    return p
 
 
 class UpdateRule(enum.Enum):

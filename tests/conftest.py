@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
+# spin-1 operators in the basis order (|+1>, |0>, |-1>)
+SX3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2)
+SZ3 = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
-def taylor_expm(m: np.ndarray, scale: complex, order: int = 40, squarings: int = 12) -> np.ndarray:
-    """Independent matrix-exponential oracle: scaled Taylor series plus squaring."""
-    a = (scale * np.asarray(m, dtype=complex)) / (2**squarings)
-    out = np.eye(a.shape[0], dtype=complex)
-    term = np.eye(a.shape[0], dtype=complex)
-    for k in range(1, order + 1):
-        term = term @ a / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
+
+def basis_state(index: int, dim: int) -> np.ndarray:
+    return np.diag(np.eye(dim, dtype=complex)[index])
+
+
+def evolve(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return u @ rho @ u.conj().T
+
+
+def expectation(rho: np.ndarray, observable: np.ndarray) -> float:
+    return float(np.trace(rho @ observable).real)
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

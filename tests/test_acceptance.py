@@ -25,10 +25,10 @@ from nvlgi.protocol import (
     find_max_k3,
     k3_protocol,
     measure,
+    rotation_unitary,
     standard_qubit_scheme,
     standard_qutrit_scheme,
 )
-from nvlgi.linalg import rotation_unitary, check_unitary
 
 from conftest import random_density, random_unitary
 
@@ -179,7 +179,8 @@ def test_criterion_8_property_suites():
             assert abs(np.trace(u @ rho @ u.conj().T).real - 1.0) < 1e-12
 
         for theta in rng.uniform(-2 * np.pi, 2 * np.pi, 1000):
-            check_unitary(rotation_unitary(theta))
+            u = rotation_unitary(theta)
+            assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-10
 
         for _ in range(1000):
             q2, q2q3, q3 = rng.uniform(-1, 1, 3)

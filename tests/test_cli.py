@@ -193,12 +193,14 @@ def test_json_round_trip(tmp_path, capsys):
         (None, ["characterize", "fid", "--points", "4"], EXIT_USAGE, "--points"),
         (None, ["characterize", "cg-repeat", "--points", "50"], EXIT_USAGE, "--points"),
         (None, ["ideal", "--sweep", "--n", "5"], EXIT_USAGE, "--n"),
+        (None, ["characterize", "cg-repeat", "--kmax", "0"], EXIT_USAGE, "--kmax"),
+        (None, ["characterize", "cg-repeat", "--kmax", "1"], EXIT_USAGE, "--kmax"),
     ],
     ids=[
         "yaml-theta-float", "yaml-n-samples-str", "yaml-f-rabi-zero", "cli-theta-nan",
         "odmr-p-nan", "odmr-p-above-one", "cg-noise-nan", "cg-noise-negative",
         "fid-delta-ref-inf", "fid-t2star-nan", "odmr-points-zero", "fid-points-four",
-        "cg-repeat-points", "sweep-n-five",
+        "cg-repeat-points", "sweep-n-five", "cg-repeat-kmax-zero", "cg-repeat-kmax-one",
     ],
 )
 def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected, message):
@@ -216,3 +218,31 @@ def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected, messa
     else:
         assert out == ""
         assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "env, config, argv, message",
+    [
+        (None, None, ["characterize", "cg-repeat", "--seed", "-1"], "--seed"),
+        (None, None, ["nv", "--seed", "-1"], "--seed"),
+        ("-3", None, ["characterize", "odmr"], "NVLGI_SEED"),
+        ("abc", None, ["ideal", "--theta", "1"], "NVLGI_SEED"),
+        (None, {"seed": -2}, ["nv"], "config seed"),
+    ],
+    ids=["cg-repeat-seed-negative", "nv-seed-negative", "env-seed-negative", "env-seed-text",
+         "config-seed-negative"],
+)
+def test_bad_seeds_exit_cleanly(tmp_path, capsys, monkeypatch, env, config, argv, message):
+    if env is None:
+        monkeypatch.delenv("NVLGI_SEED", raising=False)
+    else:
+        monkeypatch.setenv("NVLGI_SEED", env)
+    if config is not None:
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(config))
+        argv = [*argv, "--config", str(path)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err and "Traceback" not in err

@@ -5,10 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nvlgi.linalg import tensor
 from nvlgi.noise import (
     Averaging,
-    DetuningSample,
     FitError,
     ImperfectionModel,
     dephasing_evolution,
@@ -121,40 +119,40 @@ class TestDephasingEvolution:
     def test_zero_sigma_is_noiseless(self):
         rho = self.electron_superposition()
         h = 2 * np.pi * 1e4 * electron_sz(2)
-        clean = dephasing_evolution(rho, h, 5e-6, [DetuningSample(0.0, 1.0)])
+        clean = dephasing_evolution(rho, h, 5e-6, (np.zeros(1), np.ones(1)))
         noisy = dephasing_evolution(
             rho, h, 5e-6,
-            sample_detunings(ImperfectionModel(t2_star=None, n_samples=7,
-                                               pol_e=1, pol_n=1, flip_prob_p=1)),
+            detuning_ensemble(ImperfectionModel(t2_star=None, n_samples=7,
+                                                pol_e=1, pol_n=1, flip_prob_p=1)),
         )
         assert np.abs(clean - noisy).max() < 1e-14
 
     def test_gaussian_coherence_decay(self):
         # characteristic function: <exp(i 2 pi delta t)> = exp(-2 pi^2 s^2 t^2)
         model = ImperfectionModel(t2_star=T2, n_samples=41)
-        samples = sample_detunings(model)
+        ensemble = detuning_ensemble(model)
         rho = self.electron_superposition()
         for t in np.linspace(0, 1.5 * T2, 8):
-            out = dephasing_evolution(rho, np.zeros((2, 2)), t, samples)
+            out = dephasing_evolution(rho, np.zeros((2, 2)), t, ensemble)
             assert abs(out[0, 1]) == pytest.approx(0.5 * np.exp(-((t / T2) ** 2)), abs=1e-6)
 
     def test_nuclear_coherence_unaffected(self):
         # superposition of |4> and |5> lives in the zero-phase |0>e manifold
         model = ImperfectionModel(t2_star=T2, n_samples=21)
-        samples = sample_detunings(model)
+        ensemble = detuning_ensemble(model)
         rho = np.zeros((6, 6), dtype=complex)
         rho[np.ix_([3, 4], [3, 4])] = 0.5
-        out = dephasing_evolution(rho, np.zeros((6, 6)), 10 * T2, samples)
+        out = dephasing_evolution(rho, np.zeros((6, 6)), 10 * T2, ensemble)
         assert np.abs(out - rho).max() < 1e-12
 
     def test_trace_preserving(self, rng):
         from conftest import random_density
 
-        samples = sample_detunings(ImperfectionModel(t2_star=T2, n_samples=11))
+        ensemble = detuning_ensemble(ImperfectionModel(t2_star=T2, n_samples=11))
         for _ in range(20):
             rho = random_density(rng, 6)
             h = np.diag(rng.normal(size=6) * 1e5).astype(complex)
-            out = dephasing_evolution(rho, h, 20e-6, samples)
+            out = dephasing_evolution(rho, h, 20e-6, ensemble)
             assert abs(np.trace(out).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(out).min() > -1e-12
 
@@ -175,25 +173,25 @@ class TestDephasingEvolution:
         h = np.diag(rng.normal(size=dim) * 1e5)
         model = ImperfectionModel(t2_star=t2_star, n_samples=n_samples,
                                   averaging=averaging, seed=seed)
-        samples = sample_detunings(model)
-        out = dephasing_evolution(rho, h, durations, samples)
+        deltas, weights = detuning_ensemble(model)
+        out = dephasing_evolution(rho, h, durations, (deltas, weights))
         assert out.shape == durations.shape + rho.shape
         sz = electron_sz(dim)
         for t, got in zip(durations, out):
             ref = np.zeros_like(rho)
-            for s in samples:
-                u = scipy.linalg.expm(-1j * t * (h + 2 * np.pi * s.delta0 * sz))
-                ref += s.weight * (u @ rho @ u.conj().T)
+            for delta0, weight in zip(deltas, weights):
+                u = scipy.linalg.expm(-1j * t * (h + 2 * np.pi * delta0 * sz))
+                ref += weight * (u @ rho @ u.conj().T)
             assert np.abs(got - ref).max() < 1e-13
 
     def test_rejects_non_diagonal_hamiltonian(self):
         h = np.array([[0.0, 1e4], [1e4, 0.0]])
         with pytest.raises(ValueError, match="diagonal"):
-            dephasing_evolution(np.eye(2) / 2, h, 1e-6, [DetuningSample(0.0, 1.0)])
+            dephasing_evolution(np.eye(2) / 2, h, 1e-6, (np.zeros(1), np.ones(1)))
 
     def test_rejects_negative_duration(self):
         with pytest.raises(ValueError):
-            dephasing_evolution(np.eye(2) / 2, np.zeros((2, 2)), -1.0, [DetuningSample(0, 1)])
+            dephasing_evolution(np.eye(2) / 2, np.zeros((2, 2)), -1.0, (np.zeros(1), np.ones(1)))
 
 
 class TestFidCurve:

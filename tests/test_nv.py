@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nvlgi.linalg import rotation_unitary
 from nvlgi.noise import Averaging, ImperfectionModel, imperfect_initial_state, sample_detunings
 from nvlgi.nv import (
     DegeneratePostselectionError,
     NvModel,
-    PulseParams,
     assemble_lg,
-    build_nv_hamiltonian,
     controlled_gate,
     fit_flip_probability,
     lg_run,
@@ -24,7 +21,7 @@ from nvlgi.nv import (
     run_inrm_experiment,
 )
 from nvlgi.nv import _mean_gate  # the ensemble-averaged gate behind population_table
-from nvlgi.protocol import UpdateRule, k3_protocol, standard_qutrit_scheme
+from nvlgi.protocol import UpdateRule, k3_protocol, rotation_unitary, standard_qutrit_scheme
 
 from conftest import random_density
 
@@ -82,10 +79,6 @@ def level6(i):
 
 
 class TestHamiltonian:
-    def test_diagonal_in_product_basis(self):
-        h = build_nv_hamiltonian(NvModel())
-        assert np.abs(h - np.diag(np.diag(h))).max() == 0
-
     def test_matches_constant_arithmetic(self):
         # rebuild the diagonal by hand from the stated constants
         m = NvModel()
@@ -99,8 +92,7 @@ class TestHamiltonian:
                     + m.omega_n * mi
                     + m.a_hf * mi * ms
                 )
-        h = build_nv_hamiltonian(m)
-        assert np.allclose(np.diag(h).real, 2 * np.pi * np.array(expected))
+        assert np.allclose(m.level_energies(), np.array(expected))
 
     def test_hyperfine_split_mw_lines(self):
         m = NvModel()
@@ -114,22 +106,17 @@ class TestHamiltonian:
         assert NvModel().mw_transition(0) == pytest.approx(4.303e9, rel=1e-3)
 
     def test_rf_transitions_from_diagonal(self):
+        # nuclear transitions |4>-|5> and |5>-|6> within the |0>e manifold
         m = NvModel()
-        w45, w56 = m.rf_transitions()
+        e = m.level_energies()
+        w45, w56 = abs(e[3] - e[4]), abs(e[4] - e[5])
         assert w45 == pytest.approx(abs(m.q_quad + m.omega_n))
         assert w56 == pytest.approx(abs(m.q_quad - m.omega_n))
         assert w56 - w45 == pytest.approx(2 * m.omega_n)
 
     def test_zero_constants_give_zero(self):
         m = NvModel(d_zfs=0.0, q_quad=0.0, a_hf=0.0, b_field=0.0)
-        assert np.abs(build_nv_hamiltonian(m)).max() == 0
-
-
-class TestPulseParams:
-    def test_duration_matches_angle(self):
-        p = PulseParams(theta=THETA_STAR, f_rabi=20e3)
-        assert p.u_duration == pytest.approx(14.71e-6, rel=1e-3)
-        assert np.sqrt(2) * np.pi * p.f_rabi * p.u_duration == pytest.approx(THETA_STAR)
+        assert np.abs(m.level_energies()).max() == 0
 
 
 class TestControlledGate:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nvlgi.linalg import basis_projector, basis_state, evolve, expectation, rotation_unitary
 from nvlgi.protocol import (
     CorrelatorSet,
     InvalidSchemeError,
@@ -16,12 +16,14 @@ from nvlgi.protocol import (
     find_max_k3,
     k3_protocol,
     kn_string,
+    basis_projector,
     measure,
+    rotation_unitary,
     standard_qubit_scheme,
     standard_qutrit_scheme,
 )
 
-from conftest import random_density, random_unitary
+from conftest import SX3, SZ3, basis_state, evolve, expectation, random_density, random_unitary
 
 THETA_STAR = 0.416 * np.pi
 VN = standard_qutrit_scheme(UpdateRule.VON_NEUMANN)
@@ -31,6 +33,57 @@ STANDARD_SCHEMES = {
     for system, build in (("qutrit", standard_qutrit_scheme), ("qubit", standard_qubit_scheme))
     for rule in UpdateRule
 }
+
+
+class TestRotationUnitary:
+    def test_identity_at_zero(self):
+        assert np.allclose(rotation_unitary(0.0), np.eye(3))
+
+    def test_theta_pi(self):
+        expected = np.array([[0, 0, -1], [0, -1, 0], [-1, 0, 0]], dtype=complex)
+        assert np.abs(rotation_unitary(np.pi) - expected).max() < 1e-12
+
+    def test_survival_amplitude(self):
+        u = rotation_unitary(THETA_STAR)
+        expected = ((1 + np.cos(THETA_STAR)) / 2) ** 2
+        assert abs(u[0, 0]) ** 2 == pytest.approx(expected, abs=1e-12)
+        assert expected == pytest.approx(0.3974, abs=5e-4)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_matrix_exp(self, rng, dim):
+        sx = SX3 if dim == 3 else np.array([[0, 0.5], [0.5, 0]])
+        for theta in rng.uniform(-2 * np.pi, 2 * np.pi, 50):
+            ref = scipy.linalg.expm(-1j * theta * sx)
+            assert np.abs(rotation_unitary(theta, dim) - ref).max() < 1e-12
+
+    def test_unitarity(self, rng):
+        for theta in rng.uniform(0, np.pi, 100):
+            u = rotation_unitary(theta)
+            assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-10
+
+    def test_same_axis_composition(self, rng):
+        for t1, t2 in rng.uniform(0, np.pi, (50, 2)):
+            lhs = rotation_unitary(t1) @ rotation_unitary(t2)
+            assert np.abs(lhs - rotation_unitary(t1 + t2)).max() < 1e-10
+
+    def test_rejects_bad_dim(self):
+        with pytest.raises(ValueError):
+            rotation_unitary(0.1, dim=4)
+
+    def test_rotation_populations(self, rng):
+        theta = rng.uniform(0, np.pi)
+        rho = evolve(basis_state(0, 3), rotation_unitary(theta))
+        c = np.cos(theta)
+        expected = [(1 + c) ** 2 / 4, np.sin(theta) ** 2 / 2, (1 - c) ** 2 / 4]
+        assert np.allclose(np.diag(rho).real, expected, atol=1e-12)
+
+    def test_expectation_examples(self):
+        assert expectation(basis_state(0, 3), SZ3) == pytest.approx(1.0)
+        assert expectation(np.eye(3) / 3, SZ3) == pytest.approx(0.0, abs=1e-14)
+        rho = evolve(basis_state(0, 3), rotation_unitary(THETA_STAR))
+        p_minus = expectation(rho, basis_projector(2, 3))
+        assert p_minus == pytest.approx((1 - np.cos(THETA_STAR)) ** 2 / 4, abs=1e-12)
+        assert p_minus == pytest.approx(0.1366, abs=5e-4)
 
 
 class TestScheme:
