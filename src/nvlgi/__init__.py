@@ -29,15 +29,12 @@ from .nv import (
 from .protocol import (
     CorrelatorSet,
     LgString,
-    MeasurementBranch,
     MeasurementScheme,
     UpdateRule,
     analytic_correlators,
-    classical_extrema,
     find_max_k3,
     k3_protocol,
     kn_string,
-    measure,
     rotation_unitary,
     standard_qubit_scheme,
     standard_qutrit_scheme,
@@ -50,13 +47,11 @@ __all__ = [
     "FitError",
     "ImperfectionModel",
     "LgString",
-    "MeasurementBranch",
     "MeasurementScheme",
     "NvModel",
     "UpdateRule",
     "analytic_correlators",
     "assemble_lg",
-    "classical_extrema",
     "controlled_gate",
     "dephasing_evolution",
     "fid_curve",
@@ -67,7 +62,6 @@ __all__ = [
     "k3_protocol",
     "kn_string",
     "lg_run",
-    "measure",
     "odmr_spectrum",
     "population_table",
     "repeated_cg",

@@ -213,7 +213,10 @@ def cmd_nv(args) -> int:
         if "averaging" in cfg:
             fields["averaging"] = Averaging(cfg["averaging"])
         model = ImperfectionModel(seed=seed, **fields)
-    table = population_table(theta, model, f_rabi=cfg.get("f_rabi", 20e3))
+    # f_rabi stays a valid key for existing configs; the populations do not depend on it
+    if "f_rabi" in cfg and cfg["f_rabi"] <= 0:
+        raise UsageError(f"f_rabi must be positive, got {cfg['f_rabi']}")
+    table = population_table(theta, model)
     correlators = assemble_lg(table)
     weights = postselected_weights(table)
     outputs = _correlator_outputs(correlators) | {

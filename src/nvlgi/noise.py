@@ -10,6 +10,7 @@ coherence decays as exp(-(t/T2*)^2).
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,39 +128,32 @@ def electron_sz(dim: int) -> np.ndarray:
     raise ValueError(f"no default electron Sz for dim {dim}")
 
 
-def _diagonal(op: np.ndarray, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    op = np.asarray(op)
-    if op.shape != shape or np.count_nonzero(op - np.diag(np.diag(op))):
-        raise ValueError(
-            f"{name} must be a diagonal {shape[0]}x{shape[0]} matrix: the ensemble "
-            "average is closed-form only for commuting diagonal operators"
-        )
-    return np.diag(op)
-
-
 def dephasing_evolution(
     rho: np.ndarray,
     h_static: np.ndarray,
     duration: float | np.ndarray,
     ensemble: tuple[np.ndarray, np.ndarray],
-    noise_op: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Ensemble-averaged evolution under h_static + 2*pi*delta0*noise_op.
+    """Ensemble-averaged evolution under h_static + 2*pi*delta0*S, S = ``electron_sz``.
 
     ``ensemble`` is the (delta0 in Hz, weight) pair of ``detuning_ensemble``.
 
-    ``h_static`` (angular units, rad/s) and ``noise_op`` must be diagonal,
-    so every sample only rephases the coherences:
+    ``h_static`` (angular units, rad/s) must be diagonal, as S is, so every
+    sample only rephases the coherences:
     rho_ab * exp(-i*t*(h_a - h_b)) * sum_s w_s * exp(-2*pi*i*delta_s*t*(s_a - s_b)).
     ``duration`` (seconds) may be a scalar or an array; the result has shape
     ``duration.shape + rho.shape``. It is a convex mixture of unitary
     conjugations, so trace-preserving and completely positive by construction.
     """
     rho = np.asarray(rho, dtype=complex)
-    if noise_op is None:
-        noise_op = electron_sz(rho.shape[0])
-    h = _diagonal(h_static, "h_static", rho.shape)
-    s = _diagonal(noise_op, "noise_op", rho.shape)
+    s = np.diag(electron_sz(len(rho)))
+    h = np.asarray(h_static)
+    if h.shape != rho.shape or np.count_nonzero(h - np.diag(np.diag(h))):
+        raise ValueError(
+            f"h_static must be a diagonal {len(rho)}x{len(rho)} matrix: the ensemble "
+            "average is closed-form only for commuting diagonal operators"
+        )
+    h = np.diag(h)
     t = np.asarray(duration, dtype=float)
     if (t < 0).any():
         raise ValueError("duration must be non-negative")
@@ -251,9 +245,12 @@ def fit_gaussian_decay(points: np.ndarray) -> tuple[float, float]:
     # an analytic Jacobian: a finite-difference step scales with its parameter,
     # so a phase fitted to ~1e-10 would give a zero column and no covariance
     try:
-        popt, pcov = scipy.optimize.curve_fit(
-            _decay_model, t, y, p0=p0, jac=_decay_jacobian, maxfev=20000
-        )
+        # a fit without a covariance estimate warns; the check of var below raises FitError
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)
+            popt, pcov = scipy.optimize.curve_fit(
+                _decay_model, t, y, p0=p0, jac=_decay_jacobian, maxfev=20000
+            )
     except RuntimeError as exc:
         raise FitError(f"decay fit did not converge: {exc}") from exc
     t2_hat = abs(float(popt[1]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import ImperfectionModel, detuning_ensemble, imperfect_initial_state
+from .noise import FitError, ImperfectionModel, detuning_ensemble, imperfect_initial_state
 from .protocol import CorrelatorSet, rotation_unitary
 
 GAMMA_E_HZ_PER_G = 2.8025e6  # electron gyromagnetic ratio
@@ -126,7 +126,7 @@ def run_inrm_experiment(
     cg_variant: int,
     imperfections: ImperfectionModel | None = None,
     delta0: float = 0.0,
-    f_rabi: float = 20e3,
+    *,
     mw_rabi: float | None = None,
 ) -> np.ndarray:
     """One pulse sequence at a fixed quasi-static detuning delta0 (Hz).
@@ -138,24 +138,22 @@ def run_inrm_experiment(
     The gate is instantaneous by default, parameterized by the measured
     flip probability. ``mw_rabi`` switches to finite-duration selective MW
     pi pulses whose transfer degrades with the detuning delta0, the only way
-    delta0 acts (its phase cancels). ``f_rabi`` is checked but inert.
+    delta0 acts (its phase cancels).
     """
     if cg_variant not in (1, 2, 3, 4):
         raise ValueError(f"cg_variant must be 1..4, got {cg_variant}")
     model = imperfections or ImperfectionModel.ideal()
     ensemble = np.array([delta0], dtype=float), np.ones(1)
-    return _inrm_populations(theta, (cg_variant,), model, f_rabi, mw_rabi, *ensemble)[0].copy()
+    return _inrm_populations(theta, (cg_variant,), model, mw_rabi, *ensemble)[0].copy()
 
 
-def _inrm_populations(theta, variants, model, f_rabi, mw_rabi, deltas, weights) -> np.ndarray:
+def _inrm_populations(theta, variants, model, mw_rabi, deltas, weights) -> np.ndarray:
     """Populations (len(variants), 6), the gate averaged over ``deltas`` with ``weights``.
 
     U(theta, delta) = D(delta) (I2 (x) R3(theta)), D diagonal and constant on each
     electron block; the initial state is diagonal, so D cancels before the gate and
     on the electron-diagonal blocks the populations read: delta acts only through q.
     """
-    if not f_rabi > 0:
-        raise ValueError(f"f_rabi must be positive, got {f_rabi}")
     q = np.full(deltas.shape, model.flip_prob_p)
     if mw_rabi is not None:
         q *= _pulse_flip_prob(deltas, mw_rabi)
@@ -170,7 +168,7 @@ def _inrm_populations(theta, variants, model, f_rabi, mw_rabi, deltas, weights) 
 def population_table(
     theta: float,
     imperfections: ImperfectionModel | None = None,
-    f_rabi: float = 20e3,
+    *,
     mw_rabi: float | None = None,
 ) -> np.ndarray:
     """6x4 table P[i][j]: level populations for the four experiment variants.
@@ -178,8 +176,8 @@ def population_table(
     The detuning phase cancels in every population, so the detuning ensemble is
     drawn only with ``mw_rabi``, whose transfer it degrades; the gate is then
     averaged through E[q] and E[q^2] of its flip probability q, at a cost that does
-    not grow with ``n_samples``. ``f_rabi``, and ``t2_star`` without ``mw_rabi``,
-    are checked but do not change the table. Raises ``DegeneratePostselectionError``
+    not grow with ``n_samples``. ``t2_star`` without ``mw_rabi`` is checked but
+    does not change the table. Raises ``DegeneratePostselectionError``
     for flip probability 0, where the postselected populations overcount every outcome.
     """
     model = imperfections or ImperfectionModel.ideal()
@@ -189,7 +187,7 @@ def population_table(
             "so the postselected populations overcount every outcome"
         )
     ensemble = (np.zeros(1), np.ones(1)) if mw_rabi is None else detuning_ensemble(model)
-    return _inrm_populations(theta, (1, 2, 3, 4), model, f_rabi, mw_rabi, *ensemble).T.copy()
+    return _inrm_populations(theta, (1, 2, 3, 4), model, mw_rabi, *ensemble).T.copy()
 
 
 def postselected_weights(table: np.ndarray) -> np.ndarray:
@@ -225,11 +223,11 @@ def assemble_lg(table: np.ndarray) -> CorrelatorSet:
 def lg_run(
     theta: float,
     imperfections: ImperfectionModel | None = None,
-    f_rabi: float = 20e3,
+    *,
     mw_rabi: float | None = None,
 ) -> CorrelatorSet:
     """Full experiment: four variants under the imperfection model, assembled K3."""
-    return assemble_lg(population_table(theta, imperfections, f_rabi, mw_rabi))
+    return assemble_lg(population_table(theta, imperfections, mw_rabi=mw_rabi))
 
 
 def _pulse_flip_prob(detuning: float | np.ndarray, rabi: float) -> np.ndarray:
@@ -294,13 +292,14 @@ def fit_flip_probability(points: np.ndarray) -> tuple[float, float]:
     """Recover p from (k, P0) data by log-linear regression.
 
     Non-positive P0 values (possible under readout noise) are dropped.
-    Returns (p_hat, one-sigma uncertainty).
+    Returns (p_hat, one-sigma uncertainty). Raises FitError when fewer than
+    three positive points remain.
     """
     points = np.asarray(points, dtype=float)
     keep = points[:, 1] > 0
     k, y = points[keep, 0], np.log(points[keep, 1])
     if len(k) < 3:
-        raise ValueError("not enough positive points for the log-linear fit")
+        raise FitError("not enough positive points for the log-linear fit")
     coeffs, cov = np.polyfit(k, y, 1, cov=True)
     slope, slope_var = coeffs[0], cov[0, 0]
     p_hat = float(np.exp(slope))

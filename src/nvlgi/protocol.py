@@ -4,9 +4,9 @@ Implements the two state-update conventions for a degenerate dichotomic
 measurement (Luders: project with the summed eigenspace projector;
 von Neumann: project with each rank-1 projector and sum), the three-time
 protocol that assembles K3, general n-time strings, the closed-form
-correlators for the qutrit protocol, macrorealist bounds by enumeration,
-the search for the violation-maximising rotation angle, and the spin
-rotation U(theta) = exp(-i*theta*Sx) that drives the protocol.
+correlators for the qutrit protocol, the search for the violation-maximising
+rotation angle, and the spin rotation U(theta) = exp(-i*theta*Sx) that
+drives the protocol.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PROJECTOR_TOL = 1e-10
-BRANCH_PROB_FLOOR = 1e-14
 
 
 def rotation_unitary(theta: float | np.ndarray, dim: int = 3) -> np.ndarray:
@@ -71,9 +70,6 @@ class MeasurementScheme:
     ``projectors`` maps labels to rank->=1 projectors; ``outcome_of_label``
     assigns each label +1 or -1; ``update_rule`` selects how the
     post-measurement state is formed for degenerate outcomes.
-
-    The update acts on density matrices (``measure``), the LG kernel on sets
-    of kets; both may be stacked, and any leading axes are carried through.
     """
 
     projectors: tuple[tuple[str, np.ndarray], ...]
@@ -88,8 +84,12 @@ class MeasurementScheme:
     def _update_ops(self) -> tuple[np.ndarray, np.ndarray]:
         """Update operators K (post state sum K rho K): their outcomes and an (M, d, d) stack.
 
-        Rules as in ``measure``. Checks the scheme first; a failed check
-        raises and caches nothing, so it raises again on the next use.
+        Von Neumann: one K per projector, so the post state for outcome v sums
+        the per-projector updates over the labels grouped into v (coherence
+        inside the outcome is destroyed). Luders: one K per outcome, the summed
+        projector (coherence inside the outcome eigenspace survives). Checks
+        the scheme first; a failed check raises and caches nothing, so it
+        raises again on the next use.
         """
         ops = np.array([p for _, p in self.projectors], dtype=complex)
         for lab, p in self.projectors:
@@ -120,11 +120,6 @@ class MeasurementScheme:
     def validate(self) -> None:
         self._update_ops
 
-    def _post_state(self, rho: np.ndarray, outcome: int) -> np.ndarray:
-        """Unnormalised post-measurement state; its trace is the outcome probability."""
-        outcomes, ops = self._update_ops
-        return sum((k @ rho @ k for k in ops[outcomes == outcome]), np.zeros_like(rho))
-
     def _ket_q(self, kets: np.ndarray) -> np.ndarray:
         """psi^dagger Q psi for each ket psi, a row of ``kets``."""
         return np.einsum("...i,...i->...", kets.conj(), _apply(self._observable, kets)).real
@@ -134,18 +129,6 @@ def _apply(ops: np.ndarray, kets: np.ndarray) -> np.ndarray:
     """Each d x d operator in ``ops`` times each ket of (..., m, d), in one 2-D product."""
     *lead, m, d = kets.shape
     return (kets.reshape(-1, d) @ ops.reshape(-1, d).T).reshape(*lead, m * ops.size // d**2, d)
-
-
-@dataclass(frozen=True)
-class MeasurementBranch:
-    """One dichotomic outcome of a measurement.
-
-    ``post_state`` is None for zero-probability branches.
-    """
-
-    outcome: int
-    probability: float
-    post_state: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -196,25 +179,6 @@ def standard_qubit_scheme(rule: UpdateRule) -> MeasurementScheme:
     return scheme
 
 
-def measure(rho: np.ndarray, scheme: MeasurementScheme) -> list[MeasurementBranch]:
-    """Measure rho, returning one branch per dichotomic outcome.
-
-    Von Neumann: the post state for outcome v is the normalised sum of the
-    per-projector updates over the labels grouped into v (intra-outcome
-    coherence is destroyed). Luders: the summed projector is applied once
-    (coherence inside the outcome eigenspace survives).
-    """
-    branches = []
-    for outcome in (+1, -1):
-        post = scheme._post_state(rho, outcome)
-        prob = float(np.trace(post).real)
-        if prob > BRANCH_PROB_FLOOR:
-            branches.append(MeasurementBranch(outcome, prob, post / prob))
-        else:
-            branches.append(MeasurementBranch(outcome, 0.0, None))
-    return branches
-
-
 def _lg_terms(
     theta: float | np.ndarray,
     n: int,
@@ -247,21 +211,15 @@ def _lg_terms(
     return terms
 
 
-def k3_protocol(
-    theta: float,
-    scheme: MeasurementScheme,
-    *,
-    measure_at_t2_for_q3: bool = False,
-) -> CorrelatorSet:
+def k3_protocol(theta: float, scheme: MeasurementScheme) -> CorrelatorSet:
     """Three-time protocol with the initial state counted as the first measurement.
 
     The system starts in the top basis state, so Q(t1) = +1 deterministically.
     <Q2> and <Q2Q3> come from evolving by U(theta), branching on the
     measurement at t2, evolving again and measuring at t3. <Q3> is evaluated
-    on the unmeasured path by default; ``measure_at_t2_for_q3`` inserts a
-    measured-but-ignored step at t2 for invasiveness studies.
+    on the unmeasured path.
     """
-    q2, q2q3, minus_q3 = _lg_terms(theta, 3, scheme, measure_at_t2_for_q3=measure_at_t2_for_q3)
+    q2, q2q3, minus_q3 = _lg_terms(theta, 3, scheme)
     return CorrelatorSet(q2_mean=float(q2), q2q3_mean=float(q2q3), q3_mean=float(-minus_q3))
 
 
@@ -286,17 +244,6 @@ def kn_string(n: int, theta: float, scheme: MeasurementScheme) -> LgString:
     if n < 3:
         raise ValueError(f"kn_string needs n >= 3, got {n}")
     return LgString(n=n, terms=tuple(float(t) for t in _lg_terms(theta, n, scheme)))
-
-
-def classical_extrema(n: int) -> tuple[int, int]:
-    """Exact macrorealist extrema of the n-time string by 2^n enumeration."""
-    if not 3 <= n <= 12:
-        raise ValueError(f"classical_extrema supports 3 <= n <= 12, got {n}")
-    values = [
-        sum(qs[i] * qs[i + 1] for i in range(n - 1)) - qs[-1] * qs[0]
-        for qs in itertools.product((+1, -1), repeat=n)
-    ]
-    return min(values), max(values)
 
 
 def find_max_k3(

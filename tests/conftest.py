@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,15 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def classical_extrema(n: int) -> tuple[int, int]:
+    """Macrorealist extrema of the n-time LG string, by enumerating all 2^n outcome sequences."""
+    values = [
+        sum(qs[i] * qs[i + 1] for i in range(n - 1)) - qs[-1] * qs[0]
+        for qs in itertools.product((+1, -1), repeat=n)
+    ]
+    return min(values), max(values)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -195,12 +196,14 @@ def test_json_round_trip(tmp_path, capsys):
         (None, ["ideal", "--sweep", "--n", "5"], EXIT_USAGE, "--n"),
         (None, ["characterize", "cg-repeat", "--kmax", "0"], EXIT_USAGE, "--kmax"),
         (None, ["characterize", "cg-repeat", "--kmax", "1"], EXIT_USAGE, "--kmax"),
+        (None, ["characterize", "cg-repeat", "--p", "0"], EXIT_NUMERICAL, "positive points"),
     ],
     ids=[
         "yaml-theta-float", "yaml-n-samples-str", "yaml-f-rabi-zero", "cli-theta-nan",
         "odmr-p-nan", "odmr-p-above-one", "cg-noise-nan", "cg-noise-negative",
         "fid-delta-ref-inf", "fid-t2star-nan", "odmr-points-zero", "fid-points-four",
         "cg-repeat-points", "sweep-n-five", "cg-repeat-kmax-zero", "cg-repeat-kmax-one",
+        "cg-repeat-p-zero",
     ],
 )
 def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected, message):
@@ -218,6 +221,17 @@ def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected, messa
     else:
         assert out == ""
         assert message in err and "Traceback" not in err
+
+
+def test_fid_fit_without_covariance_warns_nothing(capsys):
+    # five noiseless points: curve_fit cannot estimate the covariance
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["characterize", "fid", "--points", "5", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL
+    assert caught == []
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
