@@ -16,7 +16,6 @@ import sys
 from datetime import datetime, timezone
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .noise import (
@@ -139,6 +138,8 @@ def load_config(path: str | None, args) -> dict:
     """Merge YAML config and CLI overrides; unknown keys and bad values are rejected."""
     cfg: dict = {}
     if path:
+        import yaml  # only --config reads YAML, so other runs skip the import
+
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
         if not isinstance(raw, dict):
@@ -264,6 +265,14 @@ def cmd_characterize(args) -> int:
         least = 5 if args.kind == "fid" else 1  # the decay fit needs five points
         if points < least:
             raise UsageError(f"--points must be >= {least} for {args.kind}, got {points}")
+        # the fid grid spans 2*t2star in points - 1 steps; at or above its Nyquist
+        # frequency the signal aliases and the fit would report a wrong T2*
+        nyquist = (points - 1) / (4 * args.t2star)
+        if args.kind == "fid" and abs(args.delta_ref) >= nyquist:
+            raise UsageError(
+                f"--delta-ref must be below the grid's Nyquist frequency {nyquist:.6g} Hz "
+                f"((points - 1) / (4 * t2star)), got {args.delta_ref}"
+            )
     seed, seeded = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     if args.kind == "odmr":

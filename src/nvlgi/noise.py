@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .protocol import rotation_unitary
 
@@ -85,8 +84,8 @@ def detuning_ensemble(model: ImperfectionModel) -> tuple[np.ndarray, np.ndarray]
     """Detuning ensemble as two arrays over the sample axis: (delta0 in Hz, weight).
 
     I.i.d. normal draws or Gauss-Hermite nodes, deterministic given (seed, n_samples,
-    averaging), representing Normal(0, sigma^2) with weights summing to 1. Raises
-    ``ValueError`` naming ``n_samples`` where numpy's Gauss-Hermite rule overflows.
+    averaging), representing Normal(0, sigma^2) with weights summing to 1. The
+    Gauss-Hermite rule is scipy's, imported here because only this branch uses it.
     """
     sigma, n = model.sigma_detuning, model.n_samples
     weights = np.full(n, 1.0 / n)
@@ -95,12 +94,9 @@ def detuning_ensemble(model: ImperfectionModel) -> tuple[np.ndarray, np.ndarray]
     elif model.averaging is Averaging.MONTE_CARLO:
         deltas = np.random.default_rng(model.seed).normal(0.0, sigma, size=n)
     else:
-        # underflow inside hermgauss is harmless up to 370 nodes; overflow is not
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                nodes, weights = np.polynomial.hermite.hermgauss(n)
-        except FloatingPointError as exc:
-            raise ValueError(f"n_samples = {n}: the Gauss-Hermite rule overflows ({exc})") from exc
+        import scipy.special
+
+        nodes, weights = scipy.special.roots_hermite(n)
         deltas = np.sqrt(2.0) * sigma * nodes
         weights = weights / np.sqrt(np.pi)
     if not abs(weights.sum() - 1.0) <= 1e-12:  # also fails inf and NaN
@@ -228,20 +224,24 @@ def fit_gaussian_decay(points: np.ndarray) -> tuple[float, float]:
     Returns (t2_star_hat, one-sigma uncertainty). Raises FitError on
     non-convergence or a degenerate (unbounded) estimate.
     """
+    import scipy.optimize
+
     points = np.asarray(points, dtype=float)
     if points.shape[0] < 5:
         raise ValueError("need at least 5 points")
     t, y = points[:, 0], points[:, 1]
     span = t.max() - t.min()
+    # fit in units of the span, so the Jacobian stays O(1) at any time scale
+    u = t / span
     amp0 = (y.max() - y.min()) / 2
     if amp0 < 1e-12:
         raise FitError("signal has no contrast")
     # dominant frequency seed from the periodogram on a uniform grid
-    dt = np.median(np.diff(np.sort(t)))
-    freqs = np.fft.rfftfreq(len(t), dt)
+    du = np.median(np.diff(np.sort(u)))
+    freqs = np.fft.rfftfreq(len(u), du)
     spectrum = np.abs(np.fft.rfft(y - y.mean()))
-    delta0 = freqs[1:][spectrum[1:].argmax()] if len(freqs) > 1 else 1.0 / span
-    p0 = [amp0, span / 2, delta0, 0.0, y.mean()]
+    delta0 = freqs[1:][spectrum[1:].argmax()] if len(freqs) > 1 else 1.0
+    p0 = [amp0, 0.5, delta0, 0.0, y.mean()]
     # an analytic Jacobian: a finite-difference step scales with its parameter,
     # so a phase fitted to ~1e-10 would give a zero column and no covariance
     try:
@@ -249,12 +249,12 @@ def fit_gaussian_decay(points: np.ndarray) -> tuple[float, float]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)
             popt, pcov = scipy.optimize.curve_fit(
-                _decay_model, t, y, p0=p0, jac=_decay_jacobian, maxfev=20000
+                _decay_model, u, y, p0=p0, jac=_decay_jacobian, maxfev=20000
             )
     except RuntimeError as exc:
         raise FitError(f"decay fit did not converge: {exc}") from exc
     t2_hat = abs(float(popt[1]))
     var = float(pcov[1, 1])
-    if not np.isfinite(var) or t2_hat > 100 * span:
+    if not np.isfinite(var) or t2_hat > 100:
         raise FitError("degenerate decay estimate (no decay within the data span)")
-    return t2_hat, float(np.sqrt(var))
+    return t2_hat * span, float(np.sqrt(var)) * span

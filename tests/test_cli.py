@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,13 +201,14 @@ def test_json_round_trip(tmp_path, capsys):
         (None, ["characterize", "cg-repeat", "--kmax", "0"], EXIT_USAGE, "--kmax"),
         (None, ["characterize", "cg-repeat", "--kmax", "1"], EXIT_USAGE, "--kmax"),
         (None, ["characterize", "cg-repeat", "--p", "0"], EXIT_NUMERICAL, "positive points"),
+        (None, ["characterize", "fid", "--delta-ref", "1e30"], EXIT_USAGE, "--delta-ref"),
     ],
     ids=[
         "yaml-theta-float", "yaml-n-samples-str", "yaml-f-rabi-zero", "cli-theta-nan",
         "odmr-p-nan", "odmr-p-above-one", "cg-noise-nan", "cg-noise-negative",
         "fid-delta-ref-inf", "fid-t2star-nan", "odmr-points-zero", "fid-points-four",
         "cg-repeat-points", "sweep-n-five", "cg-repeat-kmax-zero", "cg-repeat-kmax-one",
-        "cg-repeat-p-zero",
+        "cg-repeat-p-zero", "fid-delta-ref-alias",
     ],
 )
 def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected, message):
@@ -224,14 +229,54 @@ def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected, messa
 
 
 def test_fid_fit_without_covariance_warns_nothing(capsys):
-    # five noiseless points: curve_fit cannot estimate the covariance
+    # five noiseless points: curve_fit cannot estimate the covariance; 10 kHz stays
+    # below the Nyquist frequency of five points over 2*T2* (16 kHz)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["characterize", "fid", "--points", "5", "--seed", "1"])
+        code = main(["characterize", "fid", "--points", "5", "--delta-ref", "10e3",
+                     "--seed", "1"])
     err = capsys.readouterr().err
     assert code == EXIT_NUMERICAL
     assert caught == []
     assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+def test_fid_fit_at_tiny_t2star_warns_nothing(capsys):
+    # the fit runs in units of the grid span, so its Jacobian never divides 0 by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["characterize", "fid", "--t2star", "1e-300", "--seed", "1"])
+    record = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert record["outputs"]["t2_star_hat"] == pytest.approx(1e-300, rel=1e-6)
+
+
+LAZY_MODULES = ("scipy.optimize", "scipy.special", "yaml")
+
+
+def lazy_modules_loaded(*commands):
+    """The LAZY_MODULES a fresh interpreter holds after running ``commands`` through main."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from nvlgi import cli\n"
+        f"for argv in {[list(c) for c in commands]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        f"print(' '.join(m for m in {LAZY_MODULES!r} if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          check=True)
+    return done.stdout.split()
+
+
+def test_ideal_and_nv_import_neither_scipy_fit_nor_yaml():
+    # each of these modules costs tens to hundreds of ms of start-up; only the fit,
+    # the Gauss-Hermite ensemble and --config need them
+    loaded = lazy_modules_loaded(["ideal", "--theta", "0.416pi", "--seed", "1"],
+                                 ["nv", "--seed", "42"])
+    assert loaded == []
+    assert "scipy.optimize" in lazy_modules_loaded(["characterize", "fid", "--seed", "1"])
 
 
 @pytest.mark.parametrize(
