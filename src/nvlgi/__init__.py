@@ -8,7 +8,6 @@ from .noise import (
     Averaging,
     FitError,
     ImperfectionModel,
-    dephasing_evolution,
     fid_curve,
     fit_gaussian_decay,
     imperfect_initial_state,
@@ -53,7 +52,6 @@ __all__ = [
     "analytic_correlators",
     "assemble_lg",
     "controlled_gate",
-    "dephasing_evolution",
     "fid_curve",
     "find_max_k3",
     "fit_flip_probability",

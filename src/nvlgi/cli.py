@@ -252,8 +252,12 @@ def cmd_characterize(args) -> int:
             raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if args.noise < 0:
         raise UsageError(f"--noise must be >= 0, got {args.noise}")
-    if args.t2star <= 0:
-        raise UsageError(f"--t2star must be positive, got {args.t2star}")
+    # a subnormal T2* overflows the detuning width 1/(sqrt(2)*pi*T2*) or its quadrature nodes
+    if args.t2star < sys.float_info.min:
+        raise UsageError(
+            f"--t2star must be positive and not subnormal (>= {sys.float_info.min!r} s), "
+            f"got {args.t2star}"
+        )
     points = args.points
     if args.kind == "cg-repeat":
         if points is not None:
@@ -377,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FitError, DegeneratePostselectionError) as exc:
+    except (FitError, DegeneratePostselectionError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .protocol import rotation_unitary
-
 
 class Averaging(enum.Enum):
     MONTE_CARLO = "monte-carlo"
@@ -110,56 +108,6 @@ def sample_detunings(model: ImperfectionModel) -> list[DetuningSample]:
     return [DetuningSample(d, w) for d, w in zip(deltas.tolist(), weights.tolist())]
 
 
-def electron_sz(dim: int) -> np.ndarray:
-    """Noise coupling operator: diag(1, 0) on the electron manifolds.
-
-    Only the upper electron manifold acquires delta0 phase; for dim 6 the
-    ordering is (|1>e, |0>e) (x) nuclear spin-1.
-    """
-    sz2 = np.diag([1.0, 0.0]).astype(complex)
-    if dim == 2:
-        return sz2
-    if dim == 6:
-        return np.kron(sz2, np.eye(3))
-    raise ValueError(f"no default electron Sz for dim {dim}")
-
-
-def dephasing_evolution(
-    rho: np.ndarray,
-    h_static: np.ndarray,
-    duration: float | np.ndarray,
-    ensemble: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Ensemble-averaged evolution under h_static + 2*pi*delta0*S, S = ``electron_sz``.
-
-    ``ensemble`` is the (delta0 in Hz, weight) pair of ``detuning_ensemble``.
-
-    ``h_static`` (angular units, rad/s) must be diagonal, as S is, so every
-    sample only rephases the coherences:
-    rho_ab * exp(-i*t*(h_a - h_b)) * sum_s w_s * exp(-2*pi*i*delta_s*t*(s_a - s_b)).
-    ``duration`` (seconds) may be a scalar or an array; the result has shape
-    ``duration.shape + rho.shape``. It is a convex mixture of unitary
-    conjugations, so trace-preserving and completely positive by construction.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    s = np.diag(electron_sz(len(rho)))
-    h = np.asarray(h_static)
-    if h.shape != rho.shape or np.count_nonzero(h - np.diag(np.diag(h))):
-        raise ValueError(
-            f"h_static must be a diagonal {len(rho)}x{len(rho)} matrix: the ensemble "
-            "average is closed-form only for commuting diagonal operators"
-        )
-    h = np.diag(h)
-    t = np.asarray(duration, dtype=float)
-    if (t < 0).any():
-        raise ValueError("duration must be non-negative")
-    deltas, weights = ensemble
-    t = t[..., None, None]
-    static = np.exp(-1j * t * (h[:, None] - h[None, :]))
-    noise = np.exp(-2j * np.pi * (t * (s[:, None] - s[None, :]))[..., None] * deltas) @ weights
-    return rho * static * noise
-
-
 def imperfect_initial_state(model: ImperfectionModel) -> np.ndarray:
     """Six-level initial state after optical pumping with finite polarization.
 
@@ -183,21 +131,18 @@ def fid_curve(
 ) -> np.ndarray:
     """Ramsey free-induction-decay signal P0(t) on the electron ancilla.
 
-    Built from the dephasing machinery (pi/2 - wait - pi/2 with opposite
-    phases), not from the closed form; the closed form
+    pi/2 - wait - pi/2 on |0>e: each detuning sample delta_s only turns the
+    electron coherence by the phase 2*pi*(delta_ref + delta_s)*t, so the ensemble
+    average is P0(t) = (1 + sum_s w_s * cos(2*pi*(delta_ref + delta_s)*t)) / 2 over
+    the ``n_quadrature`` samples of ``detuning_ensemble``. The closed form
     (1 + exp(-(t/T2*)^2) * cos(2*pi*delta_ref*t)) / 2 is the test oracle.
     Returns an array of shape (len(t_grid), 2) with columns (t, P0).
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    ensemble = detuning_ensemble(model.with_(n_samples=n_quadrature))
-    half = rotation_unitary(np.pi / 2, dim=2)
-    unhalf = half.conj().T
-    h_ref = 2 * np.pi * delta_ref * electron_sz(2)
-    rho0 = np.zeros((2, 2), dtype=complex)
-    rho0[1, 1] = 1.0  # |0>e
-    rho0 = half @ rho0 @ half.conj().T
-    rho = unhalf @ dephasing_evolution(rho0, h_ref, t_grid, ensemble) @ unhalf.conj().T
-    p0 = rho[:, 1, 1].real
+    if (t_grid < 0).any():
+        raise ValueError("t_grid must be non-negative")
+    deltas, weights = detuning_ensemble(model.with_(n_samples=n_quadrature))
+    p0 = (1.0 + np.cos(2 * np.pi * np.outer(t_grid, delta_ref + deltas)) @ weights) / 2
     if readout_sigma > 0:
         if rng is None:
             rng = np.random.default_rng(model.seed)

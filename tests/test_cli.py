@@ -180,6 +180,10 @@ def test_json_round_trip(tmp_path, capsys):
     assert json.loads(json.dumps(record)) == record
 
 
+# numpy refuses a 10**15-element array at once, so the huge sizes below cost nothing
+HUGE = "numerical failure: Unable to allocate"
+
+
 @pytest.mark.parametrize(
     "config, argv, expected, message",
     [
@@ -202,13 +206,20 @@ def test_json_round_trip(tmp_path, capsys):
         (None, ["characterize", "cg-repeat", "--kmax", "1"], EXIT_USAGE, "--kmax"),
         (None, ["characterize", "cg-repeat", "--p", "0"], EXIT_NUMERICAL, "positive points"),
         (None, ["characterize", "fid", "--delta-ref", "1e30"], EXIT_USAGE, "--delta-ref"),
+        (None, ["characterize", "fid", "--t2star", "5e-324"], EXIT_USAGE, "--t2star"),
+        # sigma is finite here, but the quadrature nodes sqrt(2)*sigma*x overflow
+        (None, ["characterize", "fid", "--t2star", "1e-308"], EXIT_USAGE, "--t2star"),
+        (None, ["characterize", "odmr", "--points", str(10**15)], EXIT_NUMERICAL, HUGE),
+        (None, ["characterize", "fid", "--points", str(10**15)], EXIT_NUMERICAL, HUGE),
+        (None, ["characterize", "cg-repeat", "--kmax", str(10**15)], EXIT_NUMERICAL, HUGE),
     ],
     ids=[
         "yaml-theta-float", "yaml-n-samples-str", "yaml-f-rabi-zero", "cli-theta-nan",
         "odmr-p-nan", "odmr-p-above-one", "cg-noise-nan", "cg-noise-negative",
         "fid-delta-ref-inf", "fid-t2star-nan", "odmr-points-zero", "fid-points-four",
         "cg-repeat-points", "sweep-n-five", "cg-repeat-kmax-zero", "cg-repeat-kmax-one",
-        "cg-repeat-p-zero", "fid-delta-ref-alias",
+        "cg-repeat-p-zero", "fid-delta-ref-alias", "fid-t2star-subnormal",
+        "fid-t2star-subnormal-nodes", "odmr-points-huge", "fid-points-huge", "cg-repeat-kmax-huge",
     ],
 )
 def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected, message):
@@ -216,7 +227,9 @@ def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected, messa
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(config))
         argv = ["nv", "--config", str(path)]
-    code = main([*argv, "--seed", "1"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--seed", "1"])
     out, err = capsys.readouterr()
     assert code == expected
     if expected == EXIT_OK:

@@ -9,15 +9,14 @@ from nvlgi.noise import (
     Averaging,
     FitError,
     ImperfectionModel,
-    dephasing_evolution,
     detuning_ensemble,
-    electron_sz,
     fid_curve,
     fit_gaussian_decay,
     imperfect_initial_state,
     sample_detunings,
     sigma_from_t2star,
 )
+from nvlgi.protocol import rotation_unitary
 
 T2 = 62e-6
 
@@ -82,15 +81,8 @@ class TestSampleDetunings:
         assert [s.weight for s in samples] == weights.tolist()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_gauss_hermite_up_to_370_nodes(self):
-        # numpy's rule underflows harmlessly inside from 269 nodes on
-        deltas, weights = detuning_ensemble(ImperfectionModel(n_samples=370))
-        assert np.isfinite(deltas).all()
-        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("n_samples", [371, 400, 1000])
-    def test_gauss_hermite_beyond_370_nodes(self, n_samples):
+    @pytest.mark.parametrize("n_samples", [370, 371, 400, 1000])
+    def test_gauss_hermite_from_370_nodes(self, n_samples):
         # numpy's hermgauss overflows from 371 nodes on; the rule in use has no such limit
         model = ImperfectionModel(t2_star=T2, n_samples=n_samples)
         deltas, weights = detuning_ensemble(model)
@@ -116,89 +108,6 @@ class TestInitialState:
         assert np.trace(rho).real == pytest.approx(1.0)
 
 
-class TestDephasingEvolution:
-    def electron_superposition(self):
-        rho = np.full((2, 2), 0.5, dtype=complex)
-        return rho
-
-    def test_zero_sigma_is_noiseless(self):
-        rho = self.electron_superposition()
-        h = 2 * np.pi * 1e4 * electron_sz(2)
-        clean = dephasing_evolution(rho, h, 5e-6, (np.zeros(1), np.ones(1)))
-        noisy = dephasing_evolution(
-            rho, h, 5e-6,
-            detuning_ensemble(ImperfectionModel(t2_star=None, n_samples=7,
-                                                pol_e=1, pol_n=1, flip_prob_p=1)),
-        )
-        assert np.abs(clean - noisy).max() < 1e-14
-
-    def test_gaussian_coherence_decay(self):
-        # characteristic function: <exp(i 2 pi delta t)> = exp(-2 pi^2 s^2 t^2)
-        model = ImperfectionModel(t2_star=T2, n_samples=41)
-        ensemble = detuning_ensemble(model)
-        rho = self.electron_superposition()
-        for t in np.linspace(0, 1.5 * T2, 8):
-            out = dephasing_evolution(rho, np.zeros((2, 2)), t, ensemble)
-            assert abs(out[0, 1]) == pytest.approx(0.5 * np.exp(-((t / T2) ** 2)), abs=1e-6)
-
-    def test_nuclear_coherence_unaffected(self):
-        # superposition of |4> and |5> lives in the zero-phase |0>e manifold
-        model = ImperfectionModel(t2_star=T2, n_samples=21)
-        ensemble = detuning_ensemble(model)
-        rho = np.zeros((6, 6), dtype=complex)
-        rho[np.ix_([3, 4], [3, 4])] = 0.5
-        out = dephasing_evolution(rho, np.zeros((6, 6)), 10 * T2, ensemble)
-        assert np.abs(out - rho).max() < 1e-12
-
-    def test_trace_preserving(self, rng):
-        from conftest import random_density
-
-        ensemble = detuning_ensemble(ImperfectionModel(t2_star=T2, n_samples=11))
-        for _ in range(20):
-            rho = random_density(rng, 6)
-            h = np.diag(rng.normal(size=6) * 1e5).astype(complex)
-            out = dephasing_evolution(rho, h, 20e-6, ensemble)
-            assert abs(np.trace(out).real - 1.0) < 1e-12
-            assert np.linalg.eigvalsh(out).min() > -1e-12
-
-    @settings(deadline=None)
-    @given(
-        dim=st.sampled_from([2, 6]),
-        seed=st.integers(0, 2**31),
-        t2_star=st.floats(10e-6, 200e-6),
-        n_samples=st.integers(1, 41),
-        averaging=st.sampled_from(Averaging),
-        durations=hnp.arrays(float, st.integers(1, 5), elements=st.floats(0.0, 100e-6)),
-    )
-    def test_matches_per_sample_expm(self, dim, seed, t2_star, n_samples, averaging, durations):
-        from conftest import random_density
-
-        rng = np.random.default_rng(seed)
-        rho = random_density(rng, dim)
-        h = np.diag(rng.normal(size=dim) * 1e5)
-        model = ImperfectionModel(t2_star=t2_star, n_samples=n_samples,
-                                  averaging=averaging, seed=seed)
-        deltas, weights = detuning_ensemble(model)
-        out = dephasing_evolution(rho, h, durations, (deltas, weights))
-        assert out.shape == durations.shape + rho.shape
-        sz = electron_sz(dim)
-        for t, got in zip(durations, out):
-            ref = np.zeros_like(rho)
-            for delta0, weight in zip(deltas, weights):
-                u = scipy.linalg.expm(-1j * t * (h + 2 * np.pi * delta0 * sz))
-                ref += weight * (u @ rho @ u.conj().T)
-            assert np.abs(got - ref).max() < 1e-13
-
-    def test_rejects_non_diagonal_hamiltonian(self):
-        h = np.array([[0.0, 1e4], [1e4, 0.0]])
-        with pytest.raises(ValueError, match="diagonal"):
-            dephasing_evolution(np.eye(2) / 2, h, 1e-6, (np.zeros(1), np.ones(1)))
-
-    def test_rejects_negative_duration(self):
-        with pytest.raises(ValueError):
-            dephasing_evolution(np.eye(2) / 2, np.zeros((2, 2)), -1.0, (np.zeros(1), np.ones(1)))
-
-
 class TestFidCurve:
     def test_starts_at_one(self):
         curve = fid_curve(ImperfectionModel(t2_star=T2), np.array([0.0]))
@@ -216,6 +125,37 @@ class TestFidCurve:
         curve = fid_curve(ImperfectionModel(t2_star=T2), t_grid, delta_ref=delta)
         oracle = (1 + np.exp(-((t_grid / T2) ** 2)) * np.cos(2 * np.pi * delta * t_grid)) / 2
         assert np.abs(curve[:, 1] - oracle).max() < 1e-6
+
+    def test_noiseless_is_a_cosine(self):
+        t_grid = np.linspace(0, 2 * T2, 50)
+        delta = 37e3
+        curve = fid_curve(ImperfectionModel(t2_star=None), t_grid, delta_ref=delta)
+        assert np.abs(curve[:, 1] - (1 + np.cos(2 * np.pi * delta * t_grid)) / 2).max() < 1e-14
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        t2_star=st.floats(10e-6, 200e-6),
+        delta_ref=st.floats(-80e3, 80e3),
+        n_quadrature=st.integers(1, 41),
+        averaging=st.sampled_from(Averaging),
+        durations=hnp.arrays(float, st.integers(1, 5), elements=st.floats(0.0, 100e-6)),
+    )
+    def test_matches_per_sample_ramsey(self, seed, t2_star, delta_ref, n_quadrature,
+                                       averaging, durations):
+        # pi/2 - wait - pi/2 on |0>e, the wait under 2*pi*(delta_ref + delta0)*diag(1, 0)
+        model = ImperfectionModel(t2_star=t2_star, averaging=averaging, seed=seed)
+        curve = fid_curve(model, durations, delta_ref=delta_ref, n_quadrature=n_quadrature)
+        deltas, weights = detuning_ensemble(model.with_(n_samples=n_quadrature))
+        half = rotation_unitary(np.pi / 2, 2)
+        ket0 = np.array([0.0, 1.0])
+        for t, p0 in zip(durations, curve[:, 1]):
+            ref = 0.0
+            for delta0, weight in zip(deltas, weights):
+                phase = 2 * np.pi * (delta_ref + delta0) * t
+                wait = scipy.linalg.expm(-1j * phase * np.diag([1.0, 0.0]))
+                ref += weight * abs(ket0 @ half.conj().T @ wait @ half @ ket0) ** 2
+            assert abs(p0 - ref) < 1e-13
 
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
