@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -69,6 +70,9 @@ CONFIG_KEYS = {
 # keys that set an ImperfectionModel field directly; each is also a CLI option
 MODEL_KEYS = ("t2_star", "pol_e", "pol_n", "flip_prob_p", "n_samples")
 
+# largest ideal --n: the string costs ~32 us per time, so 10 000 times take ~0.3 s
+MAX_N = 10_000
+
 
 class UsageError(ValueError):
     pass
@@ -98,13 +102,17 @@ def _result_record(command: str, inputs: dict, outputs: dict, seed, seeded: bool
     return {"command": command, "inputs": inputs, "outputs": outputs, "provenance": provenance}
 
 
-def _emit(record: dict, curves: dict[str, list] | None, args) -> None:
+def _emit(record: dict, curves, args) -> None:
+    """Write the record as JSON, or as CSV led by the row lists that ``curves()`` names.
+
+    ``curves`` is None or a callable, so JSON output never formats the rows.
+    """
     if args.format == "json":
         text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        for name, rows in (curves or {}).items():
+        for name, rows in (curves() if curves else {}).items():
             writer.writerow([name])
             for row in rows:
                 writer.writerow(row)
@@ -140,8 +148,16 @@ def load_config(path: str | None, args) -> dict:
     if path:
         import yaml  # only --config reads YAML, so other runs skip the import
 
-        with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+        # libyaml's parser where PyYAML was built with it; both use SafeConstructor
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        try:
+            with open(path) as fh:
+                raw = yaml.load(fh, Loader=loader) or {}
+        except yaml.YAMLError as exc:
+            # the two parsers word their problems differently; the position is the same
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            raise UsageError(f"config {path} is not valid YAML{where}") from None
         if not isinstance(raw, dict):
             raise UsageError(f"config {path} must be a mapping of keys to values")
         unknown = set(raw) - CONFIG_KEYS.keys()
@@ -162,9 +178,15 @@ def load_config(path: str | None, args) -> dict:
     return cfg
 
 
-def _scheme(args):
-    rule = UpdateRule.LUDERS if args.scheme == "luders" else UpdateRule.VON_NEUMANN
-    build = standard_qubit_scheme if args.system == "qubit" else standard_qutrit_scheme
+@functools.cache
+def _scheme(scheme: str, system: str):
+    """The standard scheme, built and validated once per process.
+
+    The cache lives here, not in ``protocol``: the CLI only reads the scheme,
+    while a library caller could change its projector arrays in place.
+    """
+    rule = UpdateRule.LUDERS if scheme == "luders" else UpdateRule.VON_NEUMANN
+    build = standard_qubit_scheme if system == "qubit" else standard_qutrit_scheme
     return build(rule)
 
 
@@ -173,8 +195,10 @@ def _correlator_outputs(c) -> dict:
 
 
 def cmd_ideal(args) -> int:
+    if args.n > MAX_N:
+        raise UsageError(f"--n must be at most {MAX_N}, got {args.n}")
     seed, seeded = _resolve_seed(args)
-    scheme = _scheme(args)
+    scheme = _scheme(args.scheme, args.system)
     inputs = {"scheme": args.scheme, "system": args.system, "n": args.n}
     if args.sweep:
         if args.n != 3:
@@ -233,15 +257,16 @@ def cmd_nv(args) -> int:
             "averaging": model.averaging.value
         },
     }
-    rows = [["variant", "level", "population"]]
-    for j in range(4):
-        for i in range(6):
-            rows.append([j + 1, i + 1, f"{table[i, j]:.12g}"])
     record = _result_record("nv", inputs, outputs, seed, seeded)
     record["outputs"]["populations"] = {
         f"variant_{j + 1}": table[:, j].tolist() for j in range(4)
     }
-    _emit(record, {"populations": rows}, args)
+
+    def curves():
+        rows = [[j + 1, i + 1, f"{table[i, j]:.12g}"] for j in range(4) for i in range(6)]
+        return {"populations": [["variant", "level", "population"], *rows]}
+
+    _emit(record, curves, args)
     return EXIT_OK
 
 
@@ -289,13 +314,13 @@ def cmd_characterize(args) -> int:
             "dip_spacing_hz": abs(model.mw_transition(1) - model.mw_transition(0)),
             "min_p0": float(curve[:, 1].min()),
         }
-        rows = [["freq_hz", "p0"]] + [[f"{f:.6f}", f"{v:.9g}"] for f, v in curve]
+        header, cells = ["freq_hz", "p0"], lambda f, v: [f"{f:.6f}", f"{v:.9g}"]
     elif args.kind == "cg-repeat":
         curve = repeated_cg(args.kmax, args.p, readout_sigma=args.noise, rng=rng)
         p_hat, p_err = fit_flip_probability(curve)
         inputs = {"kind": "cg-repeat", "p": args.p, "kmax": args.kmax, "noise": args.noise}
         outputs = {"p_hat": p_hat, "p_err": p_err}
-        rows = [["k", "p0"]] + [[int(k), f"{v:.9g}"] for k, v in curve]
+        header, cells = ["k", "p0"], lambda k, v: [int(k), f"{v:.9g}"]
     else:
         t2 = args.t2star
         model = ImperfectionModel(t2_star=t2, seed=seed)
@@ -304,13 +329,19 @@ def cmd_characterize(args) -> int:
         t2_hat, t2_err = fit_gaussian_decay(curve)
         inputs = {"kind": "fid", "t2_star": t2, "delta_ref": args.delta_ref, "noise": args.noise}
         outputs = {"t2_star_hat": t2_hat, "t2_star_err": t2_err}
-        rows = [["t_s", "p0"]] + [[f"{t:.9g}", f"{v:.9g}"] for t, v in curve]
+        header, cells = ["t_s", "p0"], lambda t, v: [f"{t:.9g}", f"{v:.9g}"]
     record = _result_record("characterize", inputs, outputs, seed, seeded)
-    _emit(record, {args.kind.replace("-", "_"): rows}, args)
+
+    def curves():
+        return {args.kind.replace("-", "_"): [header, *(cells(*row) for row in curve)]}
+
+    _emit(record, curves, args)
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The nvlgi parser, built once per process; each parse_args returns a new Namespace."""
     parser = argparse.ArgumentParser(
         prog="nvlgi",
         description="Leggett-Garg inequality beyond the Luders bound: "
@@ -328,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ideal.add_argument("--theta", default=None, help="rotation angle, e.g. 0.416pi or 1.307")
     p_ideal.add_argument("--scheme", choices=("neumann", "luders"), default="neumann")
     p_ideal.add_argument("--system", choices=("qutrit", "qubit"), default="qutrit")
-    p_ideal.add_argument("--n", type=int, default=3, help="number of times in the LG string")
+    p_ideal.add_argument("--n", type=int, default=3,
+                         help=f"number of times in the LG string (at most {MAX_N})")
     p_ideal.add_argument("--sweep", action="store_true", help="maximise K3 over theta")
     p_ideal.add_argument("--grid", type=int, default=10_000,
                          help="checked (>= 100) and recorded, but unused: the sweep is exact")

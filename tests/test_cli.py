@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -13,7 +14,9 @@ from nvlgi.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    UsageError,
     format_theta,
+    load_config,
     main,
     parse_theta,
 )
@@ -183,6 +186,14 @@ def test_json_round_trip(tmp_path, capsys):
 # numpy refuses a 10**15-element array at once, so the huge sizes below cost nothing
 HUGE = "numerical failure: Unable to allocate"
 
+# configs PyYAML's safe loaders refuse, written as raw text
+MALFORMED_YAML = {
+    "yaml-malformed": "pol_e: [0.9\n",
+    "yaml-python-tag": "pol_e: !!python/object:os.system {}\n",
+    "yaml-unhashable-key": "? [1, 2]\n: 3\n",
+}
+NOT_YAML = "run.yaml is not valid YAML"
+
 
 @pytest.mark.parametrize(
     "config, argv, expected, message",
@@ -212,6 +223,11 @@ HUGE = "numerical failure: Unable to allocate"
         (None, ["characterize", "odmr", "--points", str(10**15)], EXIT_NUMERICAL, HUGE),
         (None, ["characterize", "fid", "--points", str(10**15)], EXIT_NUMERICAL, HUGE),
         (None, ["characterize", "cg-repeat", "--kmax", str(10**15)], EXIT_NUMERICAL, HUGE),
+        (MALFORMED_YAML["yaml-malformed"], [], EXIT_USAGE, NOT_YAML),
+        (MALFORMED_YAML["yaml-python-tag"], [], EXIT_USAGE, NOT_YAML),
+        (MALFORMED_YAML["yaml-unhashable-key"], [], EXIT_USAGE, NOT_YAML),
+        # the string would take ~9 hours at 32 us per time; the cap rejects it first
+        (None, ["ideal", "--theta", "0.4pi", "--n", str(10**12)], EXIT_USAGE, "--n"),
     ],
     ids=[
         "yaml-theta-float", "yaml-n-samples-str", "yaml-f-rabi-zero", "cli-theta-nan",
@@ -220,12 +236,13 @@ HUGE = "numerical failure: Unable to allocate"
         "cg-repeat-points", "sweep-n-five", "cg-repeat-kmax-zero", "cg-repeat-kmax-one",
         "cg-repeat-p-zero", "fid-delta-ref-alias", "fid-t2star-subnormal",
         "fid-t2star-subnormal-nodes", "odmr-points-huge", "fid-points-huge", "cg-repeat-kmax-huge",
+        *MALFORMED_YAML, "ideal-n-huge",
     ],
 )
 def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected, message):
     if config is not None:
         path = tmp_path / "run.yaml"
-        path.write_text(yaml.safe_dump(config))
+        path.write_text(config if isinstance(config, str) else yaml.safe_dump(config))
         argv = ["nv", "--config", str(path)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -318,3 +335,35 @@ def test_bad_seeds_exit_cleanly(tmp_path, capsys, monkeypatch, env, config, argv
     assert code == EXIT_USAGE
     assert out == ""
     assert message in err and "Traceback" not in err
+
+
+def test_yaml_loaders_agree(tmp_path, monkeypatch):
+    # load_config reads with libyaml's CSafeLoader where PyYAML has it, else SafeLoader
+    configs = [
+        {"theta": "0.416pi", "pol_e": 1.0, "pol_n": 1.0, "flip_prob_p": 1.0, "t2_star": 62e-6},
+        {"seed": 5, "averaging": "monte-carlo", "n_samples": 50},
+        {"theta": "0.1pi", "bogus": 1},
+        {"theta": 0.416},
+        {"n_samples": "abc"},
+        {"f_rabi": 0},
+        {"seed": -2},
+    ]
+    texts = [yaml.safe_dump(c) for c in configs] + list(MALFORMED_YAML.values())
+    paths = [tmp_path / f"run{i}.yaml" for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+
+    def load_all():
+        results = []
+        for path in paths:
+            try:
+                results.append(load_config(str(path), argparse.Namespace()))
+            except UsageError as exc:
+                results.append(("UsageError", str(exc)))
+        return results
+
+    with_libyaml = load_all()
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert load_all() == with_libyaml
+    assert with_libyaml[0]["t2_star"] == 62e-6
+    assert [r[0] for r in with_libyaml[-3:]] == ["UsageError"] * 3

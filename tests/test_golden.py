@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from nvlgi.cli import EXIT_OK, main
+from nvlgi.cli import EXIT_OK, EXIT_USAGE, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -78,6 +78,25 @@ def test_matches_golden_record(name, capsys):
     assert main(COMMANDS[name]) == EXIT_OK
     path = record_path(name)
     assert_same(parse(capsys.readouterr().out, path.suffix), parse(path.read_text(), path.suffix))
+
+
+def test_interleaved_calls_share_no_state(tmp_path, capsys):
+    # the parser and the standard schemes are built once per process, so each call
+    # must print what it prints alone whatever ran before it in the same process
+    config = tmp_path / "run.yaml"
+    config.write_text("pol_e: 0.9\nseed: 7\naveraging: monte-carlo\nn_samples: 50\n")
+    extra = {"nv-config": ["nv", "--config", str(config)], "bad-option": ["ideal", "--bogus"]}
+    order = ["sweep-qutrit", "ideal-neumann", "nv-config", "odmr-cg-csv", "bad-option",
+             "sweep-qubit", "ideal-luders", "nv-seed42-csv", "ideal-n10", "nv-seed42"]
+    first = {}
+    for name in order * 2:
+        code = main(COMMANDS.get(name) or extra[name])
+        out = capsys.readouterr().out
+        assert code == (EXIT_USAGE if name == "bad-option" else EXIT_OK), name
+        if name in COMMANDS:
+            path = record_path(name)
+            assert_same(parse(out, path.suffix), parse(path.read_text(), path.suffix), name)
+        assert first.setdefault(name, out) == out, name
 
 
 if __name__ == "__main__":
