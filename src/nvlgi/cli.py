@@ -54,22 +54,6 @@ LUDERS_BOUND = 1.5
 REFERENCE_K3_EXP = 1.625
 REFERENCE_K3_SIM = 1.632
 
-# config key -> accepted value types; a float must also be finite
-CONFIG_KEYS = {
-    "theta": (str, int, float),
-    "t2_star": (int, float, type(None)),
-    "pol_e": (int, float),
-    "pol_n": (int, float),
-    "flip_prob_p": (int, float),
-    "n_samples": (int,),
-    "seed": (int,),
-    "averaging": (str,),
-    "f_rabi": (int, float),
-}
-
-# keys that set an ImperfectionModel field directly; each is also a CLI option
-MODEL_KEYS = ("t2_star", "pol_e", "pol_n", "flip_prob_p", "n_samples")
-
 # largest ideal --n: the string costs ~32 us per time, so 10 000 times take ~0.3 s
 MAX_N = 10_000
 
@@ -78,16 +62,86 @@ class UsageError(ValueError):
     pass
 
 
-def parse_theta(text: str | float) -> float:
-    """Accept '0.416pi' (canonical) or a plain number in radians; must be finite."""
-    if isinstance(text, str):
-        text = text.strip().lower()
-        theta = float(text[:-2] or "1") * np.pi if text.endswith("pi") else float(text)
-    else:
-        theta = float(text)
-    if not math.isfinite(theta):
-        raise UsageError(f"theta must be finite, got {theta}")
-    return theta
+def _number(kind: type, lo: float = -math.inf, hi: float = math.inf):
+    """Domain of the finite ``kind`` numbers in [lo, hi]; a str, a flag's text, is parsed
+    first. An int is also a float, but not the reverse, and a bool is neither."""
+
+    def domain(value):
+        try:
+            number = kind(value) if isinstance(value, str) else value
+        except ValueError:
+            number = None
+        if type(number) not in (int, kind) or not lo <= number <= hi or abs(number) == math.inf:
+            what = f"a finite {kind.__name__} in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value!r}")
+        return number
+
+    return domain
+
+
+_FLOAT = _number(float)
+_POSITIVE = _number(float, sys.float_info.min)
+
+
+def parse_theta(value: str | float) -> float:
+    """The theta domain: '0.416pi' (canonical) or a finite number in radians."""
+    if isinstance(value, str) and value.strip().lower().endswith("pi"):
+        value = _FLOAT(value.strip().lower()[:-2] or "1") * np.pi
+    return float(_FLOAT(value))
+
+
+def _duration(value: str | float | None) -> float | None:
+    """Seconds as a normal positive float: a subnormal T2* overflows the detuning width
+    1/(sqrt(2)*pi*T2*) or its quadrature nodes. None, a config's null, is the ideal T2*."""
+    if isinstance(value, str):
+        text = value.strip().lower()
+        for suffix, scale in (("us", 1e-6), ("ms", 1e-3), ("ns", 1e-9), ("s", 1.0)):
+            if text.endswith(suffix):
+                return _POSITIVE(_FLOAT(text[: -len(suffix)]) * scale)
+    return None if value is None else _POSITIVE(value)
+
+
+# Each option, declared once: (flag, config key, domain, subcommands, add_argument
+# keywords). The domain is the flag's argparse type, so a bad flag is named whatever
+# the subcommand, and load_config applies it to the YAML value. Rules on two options
+# stay in the commands, and so do the library's ranges: pol_*, flip_prob_p, --p in
+# [0, 1] and n_samples >= 1.
+OPTIONS = (
+    ("--theta", "theta", parse_theta, "ideal nv",
+     {"help": "rotation angle, e.g. 0.416pi or 1.307"}),
+    ("--seed", "seed", _number(int, 0), "ideal nv characterize", {}),
+    ("--t2-star", "t2_star", _duration, "nv", {}),
+    ("--pol-e", "pol_e", _FLOAT, "nv", {}),
+    ("--pol-n", "pol_n", _FLOAT, "nv", {}),
+    ("--flip-prob", "flip_prob_p", _FLOAT, "nv", {}),
+    ("--n-samples", "n_samples", _number(int), "nv", {}),
+    (None, "averaging", Averaging, "", {}),
+    (None, "f_rabi", _POSITIVE, "", {}),  # unused by the populations; kept for existing configs
+    ("--n", None, _number(int, 3, MAX_N), "ideal",
+     {"default": 3, "help": f"number of times in the LG string (3 to {MAX_N})"}),
+    ("--grid", None, _number(int, 100), "ideal",
+     {"default": 10_000, "help": "checked (>= 100) and recorded, but unused: the sweep is exact"}),
+    ("--p", None, _FLOAT, "characterize", {"default": 0.995, "help": "gate flip probability"}),
+    # the log-linear fit needs k = 0, 1, 2
+    ("--kmax", None, _number(int, 2), "characterize", {"default": 30}),
+    ("--t2star", None, _duration, "characterize", {"default": 62e-6, "help": "e.g. 62us, 6.2e-5"}),
+    ("--delta-ref", None, _FLOAT, "characterize", {"default": 50e3}),
+    ("--points", None, _number(int), "characterize",
+     {"help": "curve length for odmr and fid (default 101)"}),
+    ("--noise", None, _number(float, 0.0), "characterize",
+     {"default": 0.0, "help": "Gaussian readout sigma"}),
+)
+CONFIG_DOMAINS = {key: domain for _, key, domain, _, _ in OPTIONS if key}
+# the config keys that set an ImperfectionModel field; the model's seed is the run's
+MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ImperfectionModel) if f.name != "seed")
+
+
+def _checked(name: str, domain, value):
+    """``domain(value)``, its complaint raised as a UsageError that names the source."""
+    try:
+        return domain(value)
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise UsageError(f"{name} {exc}") from None
 
 
 def format_theta(theta: float) -> str:
@@ -131,19 +185,17 @@ def _emit(record: dict, curves, args) -> None:
 def _resolve_seed(args, config_seed: int | None = None) -> tuple[int, bool]:
     """Seed and whether it was given: --seed, then NVLGI_SEED, then the config, else random.
 
-    The first given source wins and must be a non-negative integer.
+    The first given source wins and must be in the seed domain.
     """
     env = os.environ.get("NVLGI_SEED")
     for source, value in (("--seed", args.seed), ("NVLGI_SEED", env), ("config seed", config_seed)):
         if value is not None:
-            if not str(value).isdecimal():
-                raise UsageError(f"{source} must be a non-negative integer, got {value!r}")
-            return int(value), True
+            return _checked(source, CONFIG_DOMAINS["seed"], value), True
     return secrets.randbits(32), False
 
 
 def load_config(path: str | None, args) -> dict:
-    """Merge YAML config and CLI overrides; unknown keys and bad values are rejected."""
+    """Merge the YAML config under nv's flags; unknown keys and bad values are rejected."""
     cfg: dict = {}
     if path:
         import yaml  # only --config reads YAML, so other runs skip the import
@@ -151,7 +203,8 @@ def load_config(path: str | None, args) -> dict:
         # libyaml's parser where PyYAML was built with it; both use SafeConstructor
         loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
         try:
-            with open(path) as fh:
+            # bytes, so the parser reads the encoding (UTF-8 or UTF-16) from the file
+            with open(path, "rb") as fh:
                 raw = yaml.load(fh, Loader=loader) or {}
         except yaml.YAMLError as exc:
             # the two parsers word their problems differently; the position is the same
@@ -160,21 +213,17 @@ def load_config(path: str | None, args) -> dict:
             raise UsageError(f"config {path} is not valid YAML{where}") from None
         if not isinstance(raw, dict):
             raise UsageError(f"config {path} must be a mapping of keys to values")
-        unknown = set(raw) - CONFIG_KEYS.keys()
+        unknown = set(raw) - CONFIG_DOMAINS.keys()
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(map(str, unknown))}")
-        cfg.update(raw)
-    for key in MODEL_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    for key, value in cfg.items():
-        kinds = CONFIG_KEYS[key]
-        if isinstance(value, bool) or not isinstance(value, kinds) or (
-            isinstance(value, float) and not math.isfinite(value)
-        ):
-            names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
-            raise UsageError(f"config {key} must be a finite {names}, got {value!r}")
+        for key, value in raw.items():
+            # only theta and averaging take YAML text: a quoted "0.9" is no number
+            if isinstance(value, str) and CONFIG_DOMAINS[key] not in (parse_theta, Averaging):
+                raise UsageError(f"config {key} must not be a string, got {value!r}")
+            cfg[key] = _checked(f"config {key}", CONFIG_DOMAINS[key], value)
+    for key in CONFIG_DOMAINS:
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     return cfg
 
 
@@ -195,8 +244,6 @@ def _correlator_outputs(c) -> dict:
 
 
 def cmd_ideal(args) -> int:
-    if args.n > MAX_N:
-        raise UsageError(f"--n must be at most {MAX_N}, got {args.n}")
     seed, seeded = _resolve_seed(args)
     scheme = _scheme(args.scheme, args.system)
     inputs = {"scheme": args.scheme, "system": args.system, "n": args.n}
@@ -213,14 +260,13 @@ def cmd_ideal(args) -> int:
     else:
         if args.theta is None:
             raise UsageError("ideal needs --theta unless --sweep is given")
-        theta = parse_theta(args.theta)
-        inputs["theta"] = format_theta(theta)
+        inputs["theta"] = format_theta(args.theta)
         if args.n == 3:
-            outputs = _correlator_outputs(k3_protocol(theta, scheme))
+            outputs = _correlator_outputs(k3_protocol(args.theta, scheme))
             if args.system == "qutrit" and args.scheme == "neumann":
-                outputs["k3_analytic"] = analytic_correlators(theta).k3
+                outputs["k3_analytic"] = analytic_correlators(args.theta).k3
         else:
-            s = kn_string(args.n, theta, scheme)
+            s = kn_string(args.n, args.theta, scheme)
             outputs = {"terms": list(s.terms), "kn": s.value}
     record = _result_record("ideal", inputs, outputs, seed, seeded)
     _emit(record, None, args)
@@ -230,17 +276,11 @@ def cmd_ideal(args) -> int:
 def cmd_nv(args) -> int:
     cfg = load_config(args.config, args)
     seed, seeded = _resolve_seed(args, cfg.get("seed"))
-    theta = parse_theta(args.theta if args.theta is not None else cfg.get("theta", "0.416pi"))
+    theta = cfg.get("theta", 0.416 * np.pi)
     if args.ideal:
         model = ImperfectionModel.ideal()
     else:
-        fields = {key: cfg[key] for key in MODEL_KEYS if key in cfg}
-        if "averaging" in cfg:
-            fields["averaging"] = Averaging(cfg["averaging"])
-        model = ImperfectionModel(seed=seed, **fields)
-    # f_rabi stays a valid key for existing configs; the populations do not depend on it
-    if "f_rabi" in cfg and cfg["f_rabi"] <= 0:
-        raise UsageError(f"f_rabi must be positive, got {cfg['f_rabi']}")
+        model = ImperfectionModel(seed=seed, **{key: cfg[key] for key in MODEL_KEYS if key in cfg})
     table = population_table(theta, model)
     correlators = assemble_lg(table)
     weights = postselected_weights(table)
@@ -271,24 +311,10 @@ def cmd_nv(args) -> int:
 
 
 def cmd_characterize(args) -> int:
-    for name in ("p", "noise", "delta_ref", "t2star"):
-        value = getattr(args, name)
-        if not math.isfinite(value):
-            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    if args.noise < 0:
-        raise UsageError(f"--noise must be >= 0, got {args.noise}")
-    # a subnormal T2* overflows the detuning width 1/(sqrt(2)*pi*T2*) or its quadrature nodes
-    if args.t2star < sys.float_info.min:
-        raise UsageError(
-            f"--t2star must be positive and not subnormal (>= {sys.float_info.min!r} s), "
-            f"got {args.t2star}"
-        )
     points = args.points
     if args.kind == "cg-repeat":
         if points is not None:
             raise UsageError("--points does not apply to cg-repeat, whose length is --kmax")
-        if args.kmax < 2:  # the log-linear fit needs k = 0, 1, 2
-            raise UsageError(f"--kmax must be >= 2 for cg-repeat, got {args.kmax}")
     else:
         points = 101 if points is None else points
         least = 5 if args.kind == "fid" else 1  # the decay fit needs five points
@@ -350,56 +376,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
     p_ideal = sub.add_parser("ideal", help="noise-free protocol correlators and sweeps")
-    p_ideal.add_argument("--theta", default=None, help="rotation angle, e.g. 0.416pi or 1.307")
     p_ideal.add_argument("--scheme", choices=("neumann", "luders"), default="neumann")
     p_ideal.add_argument("--system", choices=("qutrit", "qubit"), default="qutrit")
-    p_ideal.add_argument("--n", type=int, default=3,
-                         help=f"number of times in the LG string (at most {MAX_N})")
     p_ideal.add_argument("--sweep", action="store_true", help="maximise K3 over theta")
-    p_ideal.add_argument("--grid", type=int, default=10_000,
-                         help="checked (>= 100) and recorded, but unused: the sweep is exact")
-    common(p_ideal)
     p_ideal.set_defaults(func=cmd_ideal)
 
     p_nv = sub.add_parser("nv", help="six-level INRM experiment with imperfections")
     p_nv.add_argument("--config", default=None, help="YAML config file")
-    p_nv.add_argument("--theta", default=None)
     p_nv.add_argument("--ideal", action="store_true", help="ignore all imperfections")
-    p_nv.add_argument("--t2-star", dest="t2_star", type=float, default=None)
-    p_nv.add_argument("--pol-e", dest="pol_e", type=float, default=None)
-    p_nv.add_argument("--pol-n", dest="pol_n", type=float, default=None)
-    p_nv.add_argument("--flip-prob", dest="flip_prob_p", type=float, default=None)
-    p_nv.add_argument("--n-samples", dest="n_samples", type=int, default=None)
-    common(p_nv)
     p_nv.set_defaults(func=cmd_nv)
 
     p_char = sub.add_parser("characterize", help="ODMR, repeated-gate, and FID curves")
     p_char.add_argument("kind", choices=("odmr", "cg-repeat", "fid"))
-    p_char.add_argument("--p", type=float, default=0.995, help="gate flip probability")
     p_char.add_argument("--cg", action="store_true", help="apply the gate before the ODMR sweep")
-    p_char.add_argument("--kmax", type=int, default=30)
-    p_char.add_argument("--t2star", type=_duration, default=62e-6, help="e.g. 62us or 6.2e-5")
-    p_char.add_argument("--delta-ref", dest="delta_ref", type=float, default=50e3)
-    p_char.add_argument("--points", type=int, default=None,
-                        help="curve length for odmr and fid (default 101)")
-    p_char.add_argument("--noise", type=float, default=0.0, help="Gaussian readout sigma")
-    common(p_char)
     p_char.set_defaults(func=cmd_characterize)
+
+    for flag, key, domain, commands, parser_args in OPTIONS:
+        for command in commands.split():
+            sub.choices[command].add_argument(flag, dest=key, type=domain, **parser_args)
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
-
-
-def _duration(text: str) -> float:
-    text = text.strip().lower()
-    for suffix, scale in (("us", 1e-6), ("ms", 1e-3), ("ns", 1e-9), ("s", 1.0)):
-        if text.endswith(suffix):
-            return float(text[: -len(suffix)]) * scale
-    return float(text)
 
 
 def main(argv: list[str] | None = None) -> int:

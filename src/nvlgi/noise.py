@@ -142,7 +142,10 @@ def fid_curve(
     if (t_grid < 0).any():
         raise ValueError("t_grid must be non-negative")
     deltas, weights = detuning_ensemble(model.with_(n_samples=n_quadrature))
-    p0 = (1.0 + np.cos(2 * np.pi * np.outer(t_grid, delta_ref + deltas)) @ weights) / 2
+    # (delta_ref + delta_s) * t as two products: at a T2* near the smallest normal float
+    # the Nyquist limit admits a delta_ref near 1e308, where the sum would overflow
+    phase = np.outer(t_grid, deltas) + t_grid[:, None] * delta_ref
+    p0 = (1.0 + np.cos(2 * np.pi * phase) @ weights) / 2
     if readout_sigma > 0:
         if rng is None:
             rng = np.random.default_rng(model.seed)
@@ -166,15 +169,26 @@ def _decay_jacobian(t, amp, t2, delta, phase, offset):
 def fit_gaussian_decay(points: np.ndarray) -> tuple[float, float]:
     """Fit A*exp(-(t/T2*)^2)*cos(2*pi*delta*t + phi) + C to (t, P0) data.
 
-    Returns (t2_star_hat, one-sigma uncertainty). Raises FitError on
-    non-convergence or a degenerate (unbounded) estimate.
+    Returns (t2_star_hat, one-sigma uncertainty). Raises FitError on data that
+    are not finite or so large that the fit overflows, on non-convergence, or
+    on a degenerate (unbounded) estimate.
     """
-    import scipy.optimize
-
     points = np.asarray(points, dtype=float)
     if points.shape[0] < 5:
         raise ValueError("need at least 5 points")
-    t, y = points[:, 0], points[:, 1]
+    if not np.isfinite(points).all():
+        raise FitError("decay data are not finite")
+    try:
+        # an overflow would otherwise only warn, and carry inf into the estimate
+        with np.errstate(over="raise"):
+            return _fit_decay(points[:, 0], points[:, 1])
+    except FloatingPointError as exc:
+        raise FitError(f"decay fit overflowed: {exc}") from exc
+
+
+def _fit_decay(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    import scipy.optimize
+
     span = t.max() - t.min()
     # fit in units of the span, so the Jacobian stays O(1) at any time scale
     u = t / span

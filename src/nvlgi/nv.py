@@ -292,15 +292,23 @@ def fit_flip_probability(points: np.ndarray) -> tuple[float, float]:
     """Recover p from (k, P0) data by log-linear regression.
 
     Non-positive P0 values (possible under readout noise) are dropped.
-    Returns (p_hat, one-sigma uncertainty). Raises FitError when fewer than
-    three positive points remain.
+    Returns (p_hat, one-sigma uncertainty). Raises FitError on data that are
+    not finite, when fewer than three positive points remain, or when the
+    estimate is not finite.
     """
     points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise FitError("repeated-gate data are not finite")
     keep = points[:, 1] > 0
     k, y = points[keep, 0], np.log(points[keep, 1])
     if len(k) < 3:
         raise FitError("not enough positive points for the log-linear fit")
     coeffs, cov = np.polyfit(k, y, 1, cov=True)
     slope, slope_var = coeffs[0], cov[0, 0]
-    p_hat = float(np.exp(slope))
-    return p_hat, float(p_hat * np.sqrt(slope_var))
+    # a slope beyond ~709 overflows to inf (and inf * 0 is NaN); both are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_hat = float(np.exp(slope))
+        p_err = float(p_hat * np.sqrt(slope_var))
+    if not (np.isfinite(p_hat) and np.isfinite(p_err)):
+        raise FitError(f"log-linear fit is not finite: p_hat = {p_hat}, p_err = {p_err}")
+    return p_hat, p_err

@@ -186,11 +186,13 @@ def test_json_round_trip(tmp_path, capsys):
 # numpy refuses a 10**15-element array at once, so the huge sizes below cost nothing
 HUGE = "numerical failure: Unable to allocate"
 
-# configs PyYAML's safe loaders refuse, written as raw text
+# configs PyYAML's safe loaders refuse, written as raw text or bytes
 MALFORMED_YAML = {
     "yaml-malformed": "pol_e: [0.9\n",
     "yaml-python-tag": "pol_e: !!python/object:os.system {}\n",
     "yaml-unhashable-key": "? [1, 2]\n: 3\n",
+    # a UTF-16 byte-order mark, then bytes that are not UTF-16
+    "yaml-not-unicode": b"\xff\xfepol_e: 0.9\n",
 }
 NOT_YAML = "run.yaml is not valid YAML"
 
@@ -226,8 +228,19 @@ NOT_YAML = "run.yaml is not valid YAML"
         (MALFORMED_YAML["yaml-malformed"], [], EXIT_USAGE, NOT_YAML),
         (MALFORMED_YAML["yaml-python-tag"], [], EXIT_USAGE, NOT_YAML),
         (MALFORMED_YAML["yaml-unhashable-key"], [], EXIT_USAGE, NOT_YAML),
+        (MALFORMED_YAML["yaml-not-unicode"], [], EXIT_USAGE, NOT_YAML),
         # the string would take ~9 hours at 32 us per time; the cap rejects it first
         (None, ["ideal", "--theta", "0.4pi", "--n", str(10**12)], EXIT_USAGE, "--n"),
+        # from ~1e155 the fit's sum of squares overflows
+        (None, ["characterize", "fid", "--noise", "1e160"], EXIT_NUMERICAL, "numerical failure:"),
+        (None, ["nv", "--t2-star", "inf"], EXIT_USAGE, "--t2-star"),
+        (None, ["ideal", "--theta", "1", "--n", "2"], EXIT_USAGE, "--n"),
+        (None, ["ideal", "--theta", "1", "--grid", "5"], EXIT_USAGE, "--grid"),
+        # flags are checked whatever the subcommand does with them
+        (None, ["characterize", "odmr", "--kmax", "1"], EXIT_USAGE, "--kmax"),
+        ({"pol_e": "0.9"}, [], EXIT_USAGE, "pol_e"),  # only theta and averaging take text
+        ({"n_samples": 50.0}, [], EXIT_USAGE, "n_samples"),
+        ({"pol_e": True}, [], EXIT_USAGE, "pol_e"),
     ],
     ids=[
         "yaml-theta-float", "yaml-n-samples-str", "yaml-f-rabi-zero", "cli-theta-nan",
@@ -236,13 +249,17 @@ NOT_YAML = "run.yaml is not valid YAML"
         "cg-repeat-points", "sweep-n-five", "cg-repeat-kmax-zero", "cg-repeat-kmax-one",
         "cg-repeat-p-zero", "fid-delta-ref-alias", "fid-t2star-subnormal",
         "fid-t2star-subnormal-nodes", "odmr-points-huge", "fid-points-huge", "cg-repeat-kmax-huge",
-        *MALFORMED_YAML, "ideal-n-huge",
+        *MALFORMED_YAML, "ideal-n-huge", "fid-noise-huge", "nv-t2-star-inf", "ideal-n-two",
+        "ideal-grid-five", "odmr-kmax-one", "yaml-pol-e-quoted", "yaml-n-samples-float",
+        "yaml-pol-e-bool",
     ],
 )
 def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected, message):
     if config is not None:
         path = tmp_path / "run.yaml"
-        path.write_text(config if isinstance(config, str) else yaml.safe_dump(config))
+        if isinstance(config, dict):
+            config = yaml.safe_dump(config)
+        path.write_bytes(config if isinstance(config, bytes) else config.encode())
         argv = ["nv", "--config", str(path)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -256,6 +273,8 @@ def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected, messa
     else:
         assert out == ""
         assert message in err and "Traceback" not in err
+    if expected == EXIT_NUMERICAL:
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
 
 
 def test_fid_fit_without_covariance_warns_nothing(capsys):
@@ -347,11 +366,13 @@ def test_yaml_loaders_agree(tmp_path, monkeypatch):
         {"n_samples": "abc"},
         {"f_rabi": 0},
         {"seed": -2},
+        {"pol_e": "0.9"},
+        {"t2_star": None, "averaging": "gauss-hermite"},
     ]
     texts = [yaml.safe_dump(c) for c in configs] + list(MALFORMED_YAML.values())
     paths = [tmp_path / f"run{i}.yaml" for i in range(len(texts))]
     for path, text in zip(paths, texts):
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
 
     def load_all():
         results = []
@@ -366,4 +387,5 @@ def test_yaml_loaders_agree(tmp_path, monkeypatch):
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     assert load_all() == with_libyaml
     assert with_libyaml[0]["t2_star"] == 62e-6
-    assert [r[0] for r in with_libyaml[-3:]] == ["UsageError"] * 3
+    malformed = with_libyaml[-len(MALFORMED_YAML):]
+    assert [r[0] for r in malformed] == ["UsageError"] * len(MALFORMED_YAML)
