@@ -10,7 +10,6 @@ from .noise import (
     ImperfectionModel,
     fid_curve,
     fit_gaussian_decay,
-    imperfect_initial_state,
     sigma_from_t2star,
 )
 from .nv import (
@@ -19,6 +18,7 @@ from .nv import (
     assemble_lg,
     controlled_gate,
     fit_flip_probability,
+    imperfect_initial_state,
     lg_run,
     odmr_spectrum,
     population_table,

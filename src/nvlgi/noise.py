@@ -1,5 +1,5 @@
-"""Imperfection channels: quasi-static Gaussian dephasing, imperfect
-polarization, free-induction-decay synthesis and fitting.
+"""Imperfection model (dephasing, polarizations, gate fidelity), quasi-static
+Gaussian dephasing, free-induction-decay synthesis and fitting.
 
 The detuning delta0 is quasi-static: constant within one shot, resampled
 (or quadrature-weighted) across the ensemble. Its width follows from the
@@ -106,19 +106,6 @@ def sample_detunings(model: ImperfectionModel) -> list[DetuningSample]:
     """``detuning_ensemble`` as a list of ``DetuningSample`` objects."""
     deltas, weights = detuning_ensemble(model)
     return [DetuningSample(d, w) for d, w in zip(deltas.tolist(), weights.tolist())]
-
-
-def imperfect_initial_state(model: ImperfectionModel) -> np.ndarray:
-    """Six-level initial state after optical pumping with finite polarization.
-
-    Residual electron weight sits in |1>e; residual nuclear weight is split
-    evenly over |0>n and |-1>n. Perfect polarization gives the pure |4>.
-    """
-    rho_e = np.diag([1.0 - model.pol_e, model.pol_e]).astype(complex)
-    rho_n = np.diag(
-        [model.pol_n, (1.0 - model.pol_n) / 2, (1.0 - model.pol_n) / 2]
-    ).astype(complex)
-    return np.kron(rho_e, rho_n)
 
 
 def fid_curve(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import FitError, ImperfectionModel, detuning_ensemble, imperfect_initial_state
+from .noise import FitError, ImperfectionModel, detuning_ensemble
 from .protocol import CorrelatorSet, rotation_unitary
 
 GAMMA_E_HZ_PER_G = 2.8025e6  # electron gyromagnetic ratio
@@ -119,6 +119,19 @@ def controlled_gate(variant: int, p: float | np.ndarray):
         raise ValueError(f"controlled_gate variant must be 1..3, got {variant}")
     _check_flip_prob(p)
     return _mean_gate(variant, np.asarray(p, dtype=float)[..., None], np.ones(1))
+
+
+def imperfect_initial_state(model: ImperfectionModel) -> np.ndarray:
+    """Six-level initial state after optical pumping with finite polarization.
+
+    Residual electron weight sits in |1>e; residual nuclear weight is split
+    evenly over |0>n and |-1>n. Perfect polarization gives the pure |4>.
+    """
+    rho_e = np.diag([1.0 - model.pol_e, model.pol_e]).astype(complex)
+    rho_n = np.diag(
+        [model.pol_n, (1.0 - model.pol_n) / 2, (1.0 - model.pol_n) / 2]
+    ).astype(complex)
+    return np.kron(rho_e, rho_n)
 
 
 def run_inrm_experiment(

@@ -122,13 +122,7 @@ class MeasurementScheme:
 
     def _ket_q(self, kets: np.ndarray) -> np.ndarray:
         """psi^dagger Q psi for each ket psi, a row of ``kets``."""
-        return np.einsum("...i,...i->...", kets.conj(), _apply(self._observable, kets)).real
-
-
-def _apply(ops: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Each d x d operator in ``ops`` times each ket of (..., m, d), in one 2-D product."""
-    *lead, m, d = kets.shape
-    return (kets.reshape(-1, d) @ ops.reshape(-1, d).T).reshape(*lead, m * ops.size // d**2, d)
+        return np.einsum("...i,...i->...", kets.conj(), kets @ self._observable.T).real
 
 
 @dataclass(frozen=True)
@@ -179,35 +173,25 @@ def standard_qubit_scheme(rule: UpdateRule) -> MeasurementScheme:
     return scheme
 
 
-def _lg_terms(
-    theta: float | np.ndarray,
-    n: int,
-    scheme: MeasurementScheme,
-    *,
-    measure_at_t2_for_q3: bool = False,
-) -> list[np.ndarray]:
+def _lg_terms(theta: float | np.ndarray, n: int, scheme: MeasurementScheme) -> list[np.ndarray]:
     """The n terms of the LG string, elementwise over a scalar or array theta.
 
     The system starts in the top basis state, so Q(t1) = +1 and term 1 is
     <Q(t2)>. Term k (2 <= k < n) is <Q(t_k) Q(t_k+1)> from a run measured
-    only at t_k and t_k+1: the unmeasured state at t_k is branched, and each
-    unnormalised branch (which carries its probability) is evolved once
-    more. The last term is -<Q(t_n)> on the unmeasured path, or, with
-    ``measure_at_t2_for_q3``, on the path measured (and ignored) at t2.
-    A state is the kets psi_m (rows of (..., m, d)) of rho = sum_m |psi_m><psi_m|:
-    U|0> is one ket, a branch the K psi_m over its outcome's operators K, and
-    the state measured at t2 both branches. Memory stays flat in n.
+    only at t_k and t_k+1: the unmeasured ket psi at t_k is branched into
+    the unnormalised kets U K psi, one per update operator K (each carries
+    its probability), and the last term is -<Q(t_n)> on the unmeasured path.
+    The state is one ket per theta, so memory stays flat in n.
     """
     u = rotation_unitary(theta, scheme.dim)
     outcomes, ops = scheme._update_ops
-    psi = u[..., None, :, 0]
-    terms = [scheme._ket_q(psi).sum(-1)]
-    for k in range(2, n):
-        branches = np.einsum("...mj,...ij->...mi", _apply(ops, psi), u)
-        terms.append(scheme._ket_q(branches) @ np.tile(outcomes, psi.shape[-2]))
-        measured = k == 2 and measure_at_t2_for_q3
-        psi = branches if measured else np.einsum("...mj,...ij->...mi", psi, u)
-    terms.append(-scheme._ket_q(psi).sum(-1))
+    psi = u[..., 0]
+    terms = [scheme._ket_q(psi)]
+    for _ in range(2, n):
+        branches = np.einsum("...ij,mjk,...k->...mi", u, ops, psi)
+        terms.append(scheme._ket_q(branches) @ outcomes)
+        psi = np.einsum("...ij,...j->...i", u, psi)
+    terms.append(-scheme._ket_q(psi))
     return terms
 
 

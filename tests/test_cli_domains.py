@@ -19,7 +19,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvlgi.cli import CONFIG_DOMAINS, EXIT_OK, EXIT_USAGE, OPTIONS, main
+from nvlgi.cli import CONFIG_DOMAINS, EXIT_OK, EXIT_USAGE, MAX_POINTS, OPTIONS, main
 
 FUZZ = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -35,7 +35,8 @@ def reprs(strategy):
     return strategy.map(repr)
 
 
-# numpy refuses these sizes at once (exit 2); 10**7 to 10**8 elements would be allocated
+# sizes no run could allocate: inside the n_samples domain (the populations draw no
+# ensemble from the CLI), outside the caps of --points and --kmax
 HUGE = st.integers(10**15, 10**17)
 UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 # (text, seconds) of a duration, bare or with a unit, so the test knows the value
@@ -59,10 +60,10 @@ IN_DOMAIN = {
     "--n": st.integers(3, 50).map(str),
     "--grid": st.integers(100, 10**18).map(str),
     "--p": UNIT_INTERVAL,
-    "--kmax": st.one_of(st.integers(2, 2000), HUGE).map(str),
+    "--kmax": st.integers(2, 2000).map(str),
     "--t2star": DURATIONS.map(lambda pair: pair[0]),
     "--delta-ref": reprs(finite()),
-    "--points": st.one_of(st.integers(5, 2000), HUGE).map(str),
+    "--points": st.integers(5, 2000).map(str),
     "--noise": reprs(finite(0.0)),
 }
 
@@ -75,6 +76,10 @@ OUTSIDE_UNIT = reprs(st.one_of(finite(hi=-5e-324), finite(1.0 + 2**-52)))
 
 def below(lo):
     return st.integers(max_value=lo - 1).map(str)
+
+
+# above a size cap: its first value, huge sizes, and int64's largest
+ABOVE_CAP = st.one_of(st.just(MAX_POINTS + 1), HUGE, st.just(2**63 - 1)).map(str)
 
 
 # flag -> argv text outside the table's domain, or outside a library range whose
@@ -90,10 +95,10 @@ OUT_OF_DOMAIN = {
     "--n": st.one_of(JUNK, FRACTIONS, below(3), st.integers(10_001, 10**20).map(str)),
     "--grid": st.one_of(JUNK, FRACTIONS, below(100)),
     "--p": JUNK,  # [0, 1] is the library's, and its message names no flag
-    "--kmax": st.one_of(JUNK, FRACTIONS, below(2)),
+    "--kmax": st.one_of(JUNK, FRACTIONS, below(2), ABOVE_CAP),
     "--t2star": st.one_of(JUNK, NOT_NORMAL, st.sampled_from(["0us", "-1ms", "1e-310s", "nans"])),
     "--delta-ref": JUNK,
-    "--points": st.one_of(JUNK, FRACTIONS),
+    "--points": st.one_of(JUNK, FRACTIONS, below(1), ABOVE_CAP),
     "--noise": st.one_of(JUNK, NEGATIVE),
 }
 
@@ -184,14 +189,14 @@ def test_in_domain_flags_never_make_a_usage_error(data, command):
     values = {flag: data.draw(IN_DOMAIN[flag], label=flag) for flag in sorted(chosen)}
     values["--seed"] = values.get("--seed", "1")  # NVLGI_SEED in the environment stays unread
     # the rules on two options: --sweep only with --n 3, --theta unless --sweep,
-    # --points >= 1 and none for cg-repeat, --delta-ref below the fid grid's Nyquist
+    # --points >= 5 for fid and none for cg-repeat, --delta-ref below the fid grid's Nyquist
     sweep = command == "ideal" and data.draw(st.booleans(), label="sweep")
     if sweep:
         values.pop("--n", None)
     elif command == "ideal":
         values.setdefault("--theta", "0.416pi")
     elif command == "odmr" and "--points" in values:
-        values["--points"] = str(data.draw(st.one_of(st.integers(1, 2000), HUGE), label="points"))
+        values["--points"] = str(data.draw(st.integers(1, 2000), label="points"))
     elif command == "cg-repeat":
         values.pop("--points", None)
     elif command == "fid":

@@ -12,10 +12,10 @@ from nvlgi.noise import (
     detuning_ensemble,
     fid_curve,
     fit_gaussian_decay,
-    imperfect_initial_state,
     sample_detunings,
     sigma_from_t2star,
 )
+from nvlgi.nv import imperfect_initial_state
 from nvlgi.protocol import rotation_unitary
 
 T2 = 62e-6

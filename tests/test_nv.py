@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nvlgi.noise import Averaging, ImperfectionModel, imperfect_initial_state, sample_detunings
+from nvlgi.noise import Averaging, ImperfectionModel, sample_detunings
 from nvlgi.nv import (
     DegeneratePostselectionError,
     NvModel,
     assemble_lg,
     controlled_gate,
     fit_flip_probability,
+    imperfect_initial_state,
     lg_run,
     odmr_spectrum,
     population_table,

@@ -222,7 +222,7 @@ class TestK3Protocol:
 
     def test_invasive_q3_variant_differs(self):
         direct = _lg_terms(THETA_STAR, 3, VN)
-        nim = _lg_terms(THETA_STAR, 3, VN, measure_at_t2_for_q3=True)
+        nim = _oracle_lg_terms(THETA_STAR, 3, VN, True)
         assert direct[0] == nim[0]
         assert abs(direct[2] - nim[2]) > 1e-3
 
@@ -449,24 +449,14 @@ class TestRotatedSchemes:
     @given(
         rotated_schemes(),
         st.integers(3, 6),
-        st.booleans(),
         st.lists(st.floats(-2 * np.pi, 2 * np.pi), max_size=8),
     )
-    def test_lg_terms_match_density_matrix_oracle(self, scheme, n, measured, thetas):
-        got = np.array(_lg_terms(np.array(thetas), n, scheme, measure_at_t2_for_q3=measured))
+    def test_lg_terms_match_density_matrix_oracle(self, scheme, n, thetas):
+        got = np.array(_lg_terms(np.array(thetas), n, scheme))
         assert got.shape == (n, len(thetas))
         for i, theta in enumerate(thetas):
-            expected = _oracle_lg_terms(theta, n, scheme, measured)
+            expected = _oracle_lg_terms(theta, n, scheme, False)
             assert np.abs(got[:, i] - expected).max() < 1e-12
-
-    @pytest.mark.parametrize("name", sorted(STANDARD_SCHEMES))
-    def test_measured_path_of_standard_schemes_matches_oracle(self, name):
-        scheme = STANDARD_SCHEMES[name]
-        thetas = np.linspace(-1.0, 4.0, 11)
-        for n in range(3, 11):
-            got = np.array(_lg_terms(thetas, n, scheme, measure_at_t2_for_q3=True))
-            expected = np.array([_oracle_lg_terms(t, n, scheme, True) for t in thetas]).T
-            assert np.abs(got - expected).max() < 1e-12
 
     @settings(deadline=None)
     @given(rotated_schemes(), st.lists(st.floats(0.0, np.pi), max_size=8))
