@@ -56,7 +56,7 @@ REFERENCE_K3_SIM = 1.632
 
 # largest ideal --n: the string costs ~13 us per time, so 10 000 times take ~0.13 s
 MAX_N = 10_000
-# largest --points and --kmax: fid, the costliest curve, takes ~0.7 s and ~155 MB at 100 000
+# largest --points and --kmax: fid, the costliest curve, takes ~0.5 s and ~130 MB at 100 000
 MAX_POINTS = 100_000
 
 

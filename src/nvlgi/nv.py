@@ -304,18 +304,20 @@ def repeated_cg(
 def fit_flip_probability(points: np.ndarray) -> tuple[float, float]:
     """Recover p from (k, P0) data by log-linear regression.
 
-    Non-positive P0 values (possible under readout noise) are dropped.
+    Only the points (in k order) before the first non-positive P0, possible under
+    readout noise, are fitted: past it the curve has sunk into the noise floor,
+    whose positive points would pull the slope toward 0.
     Returns (p_hat, one-sigma uncertainty). Raises FitError on data that are
-    not finite, when fewer than three positive points remain, or when the
-    estimate is not finite.
+    not finite, when fewer than three points precede the first non-positive
+    one, or when the estimate is not finite.
     """
     points = np.asarray(points, dtype=float)
     if not np.isfinite(points).all():
         raise FitError("repeated-gate data are not finite")
-    keep = points[:, 1] > 0
+    keep = np.logical_and.accumulate(points[:, 1] > 0)
     k, y = points[keep, 0], np.log(points[keep, 1])
     if len(k) < 3:
-        raise FitError("not enough positive points for the log-linear fit")
+        raise FitError("fewer than three positive points before the first non-positive one")
     coeffs, cov = np.polyfit(k, y, 1, cov=True)
     slope, slope_var = coeffs[0], cov[0, 0]
     # a slope beyond ~709 overflows to inf (and inf * 0 is NaN); both are refused below

@@ -300,7 +300,7 @@ def test_fid_fit_at_tiny_t2star_warns_nothing(capsys):
     assert record["outputs"]["t2_star_hat"] == pytest.approx(1e-300, rel=1e-6)
 
 
-LAZY_MODULES = ("scipy.optimize", "scipy.special", "yaml")
+LAZY_MODULES = ("scipy", "yaml")
 
 
 def lazy_modules_loaded(*commands):
@@ -319,13 +319,15 @@ def lazy_modules_loaded(*commands):
     return done.stdout.split()
 
 
-def test_ideal_and_nv_import_neither_scipy_fit_nor_yaml():
-    # each of these modules costs tens to hundreds of ms of start-up; only the fit,
-    # the Gauss-Hermite ensemble and --config need them
+def test_ideal_and_nv_import_neither_scipy_fit_nor_yaml(tmp_path):
+    # each of these modules costs tens to hundreds of ms of start-up; the runtime needs
+    # no scipy, and only --config needs yaml
     loaded = lazy_modules_loaded(["ideal", "--theta", "0.416pi", "--seed", "1"],
                                  ["nv", "--seed", "42"])
     assert loaded == []
-    assert "scipy.optimize" in lazy_modules_loaded(["characterize", "fid", "--seed", "1"])
+    config = tmp_path / "nv.yaml"
+    config.write_text("pol_e: 0.9\n")
+    assert lazy_modules_loaded(["nv", "--config", str(config), "--seed", "1"]) == ["yaml"]
 
 
 @pytest.mark.parametrize(

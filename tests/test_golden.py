@@ -10,6 +10,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -97,6 +99,33 @@ def test_interleaved_calls_share_no_state(tmp_path, capsys):
             path = record_path(name)
             assert_same(parse(out, path.suffix), parse(path.read_text(), path.suffix), name)
         assert first.setdefault(name, out) == out, name
+
+
+def test_records_and_gauss_hermite_need_no_scipy():
+    # a fresh interpreter in which any import of scipy fails: every recorded command and
+    # a Gauss-Hermite ensemble must still run, and give the recorded numbers
+    script = (
+        "import contextlib, io, math, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from test_golden import COMMANDS, assert_same, main, parse, record_path\n"
+        "from nvlgi.noise import ImperfectionModel\n"
+        "from nvlgi.nv import population_table\n"
+        "for name, argv in COMMANDS.items():\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(argv) == 0, name\n"
+        "    path = record_path(name)\n"
+        "    assert_same(parse(out.getvalue(), path.suffix), parse(path.read_text(), path.suffix), name)\n"
+        "table = population_table(0.416 * math.pi, ImperfectionModel(), mw_rabi=65e3)\n"
+        "assert np.isfinite(table).all()\n"
+        "print(len(COMMANDS))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(len(COMMANDS))]
 
 
 if __name__ == "__main__":

@@ -1,14 +1,21 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nvlgi.noise import (
+    MAX_HERMITE_NODES,
     Averaging,
     FitError,
     ImperfectionModel,
+    _hermite_rule,
     detuning_ensemble,
     fid_curve,
     fit_gaussian_decay,
@@ -83,7 +90,7 @@ class TestSampleDetunings:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n_samples", [370, 371, 400, 1000])
     def test_gauss_hermite_from_370_nodes(self, n_samples):
-        # numpy's hermgauss overflows from 371 nodes on; the rule in use has no such limit
+        # numpy's hermgauss overflows from 371 nodes on; Golub-Welsch does not
         model = ImperfectionModel(t2_star=T2, n_samples=n_samples)
         deltas, weights = detuning_ensemble(model)
         sigma2 = model.sigma_detuning**2
@@ -91,6 +98,39 @@ class TestSampleDetunings:
         assert abs(weights.sum() - 1.0) <= 1e-12
         assert weights @ deltas**2 == pytest.approx(sigma2, rel=1e-12)
         assert weights @ deltas**4 == pytest.approx(3 * sigma2**2, rel=1e-12)
+
+    def test_gauss_hermite_refuses_nodes_beyond_the_cap(self):
+        # refused before the (n x n) Jacobi matrix, which alone would take 8 MB
+        model = ImperfectionModel(n_samples=MAX_HERMITE_NODES + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n_samples"):
+                detuning_ensemble(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        deltas, _ = detuning_ensemble(model.with_(averaging=Averaging.MONTE_CARLO))
+        assert len(deltas) == MAX_HERMITE_NODES + 1
+
+
+class TestHermiteRule:
+    @settings(deadline=None)
+    @given(n=st.integers(1, 150))
+    def test_matches_scipy(self, n):
+        nodes, weights = _hermite_rule(n)
+        ref_nodes, ref_weights = scipy.special.roots_hermite(n)
+        assert np.abs(nodes - ref_nodes).max() <= 1e-13
+        assert np.abs(weights - ref_weights / np.sqrt(np.pi)).max() <= 1e-13
+
+    def test_cached_arrays_are_read_only(self):
+        model = ImperfectionModel(n_samples=21)
+        first = [a.copy() for a in (*detuning_ensemble(model), *_hermite_rule(21))]
+        for array in (*detuning_ensemble(model), *_hermite_rule(21)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        for got, want in zip((*detuning_ensemble(model), *_hermite_rule(21)), first):
+            assert np.array_equal(got, want)
 
 
 class TestInitialState:
@@ -213,3 +253,67 @@ class TestFitGaussianDecay:
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
             fit_gaussian_decay(np.zeros((3, 2)))
+
+
+def _curve_fit_t2(points):
+    """T2* from scipy's curve_fit (MINPACK) with the fit's model, start and span units;
+    None where fit_gaussian_decay should raise FitError."""
+    t, y = points[:, 0], points[:, 1]
+    span = t.max() - t.min()
+    u = t / span
+    freqs = np.fft.rfftfreq(len(u), np.median(np.diff(np.sort(u))))
+    spectrum = np.abs(np.fft.rfft(y - y.mean()))
+    p0 = [(y.max() - y.min()) / 2, 0.5, freqs[1:][spectrum[1:].argmax()], 0.0, y.mean()]
+
+    def model(u, amp, t2, delta, phase, offset):
+        return amp * np.exp(-((u / t2) ** 2)) * np.cos(2 * np.pi * delta * u + phase) + offset
+
+    def jacobian(u, amp, t2, delta, phase, offset):
+        env, arg = np.exp(-((u / t2) ** 2)), 2 * np.pi * delta * u + phase
+        c, s = env * np.cos(arg), env * np.sin(arg)
+        return np.column_stack(
+            [c, 2 * amp * c * u**2 / t2**3, -2 * np.pi * amp * s * u, -amp * s, np.ones_like(u)]
+        )
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)
+            popt, pcov = scipy.optimize.curve_fit(model, u, y, p0=p0, jac=jacobian, maxfev=20000)
+    except RuntimeError:
+        return None
+    if not np.isfinite(pcov[1, 1]) or abs(popt[1]) > 100:
+        return None
+    return abs(popt[1]) * span
+
+
+def _fit_or_none(points):
+    try:
+        return fit_gaussian_decay(points)[0]
+    except FitError:
+        return None
+
+
+def test_fit_matches_curve_fit_on_seeded_curves():
+    # noisy curves drawn as the benchmark's fid class draws them, and the exact-fit
+    # family delta_ref -> 0 of noiseless curves at the command's default grid
+    rng = np.random.default_rng(2023)
+    noisy = []
+    for _ in range(120):
+        t2, delta_ref = rng.uniform(30e-6, 120e-6), rng.uniform(20e3, 80e3)
+        grid = np.linspace(0.0, 2.0 * t2, int(rng.integers(60, 141)))
+        curve = fid_curve(ImperfectionModel(t2_star=t2), grid, delta_ref=delta_ref,
+                          n_quadrature=int(rng.choice([21, 41])), readout_sigma=0.01,
+                          rng=np.random.default_rng(int(rng.integers(2**31))))
+        noisy.append((t2, curve))
+    grid = np.linspace(0.0, 2 * T2, 101)
+    noiseless = [(T2, fid_curve(ImperfectionModel(t2_star=T2), grid, delta_ref=d))
+                 for d in np.linspace(0.0, 5e3, 26)]
+    misses = {"fit": 0.0, "curve_fit": 0.0}
+    for i, (t2, curve) in enumerate(noisy + noiseless):
+        want, got = _curve_fit_t2(curve), _fit_or_none(curve)
+        assert want is None or got is not None, f"curve {i}: FitError where curve_fit fits"
+        if i < len(noisy) and want is not None:
+            misses["fit"] += abs(got - t2) / t2
+            misses["curve_fit"] += abs(want - t2) / t2
+    # both fits stop at the same optimum to rounding, so allow rounding in the sum
+    assert misses["fit"] <= misses["curve_fit"] * (1 + 1e-9), misses

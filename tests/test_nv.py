@@ -427,6 +427,18 @@ class TestRepeatedCg:
             errors.append(abs(p_hat - 0.995))
         assert max(errors) < 0.005
 
+    def test_fitter_ignores_the_noise_floor(self):
+        # at p = 0.5 the curve sinks below 0.01 readout noise within ~7 gates; only the
+        # points before the first non-positive P0 are fitted, so a longer tail of noise
+        # floor cannot pull p_hat toward 1 (it gave 0.87, 0.998 and 1.0001 at these k_max)
+        p_hats = [
+            [fit_flip_probability(repeated_cg(k_max, 0.5, 0.01, np.random.default_rng(seed)))[0]
+             for k_max in (30, 300, 2000)]
+            for seed in range(100)
+        ]
+        assert all(row[0] == row[1] == row[2] for row in p_hats)
+        assert abs(np.median(p_hats) - 0.5) < 0.05
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             repeated_cg(0, 0.9)
