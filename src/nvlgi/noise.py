@@ -253,8 +253,8 @@ def fit_gaussian_decay(points: np.ndarray) -> tuple[float, float]:
     """Fit A*exp(-(t/T2*)^2)*cos(2*pi*delta*t + phi) + C to (t, P0) data.
 
     Returns (t2_star_hat, one-sigma uncertainty). Raises FitError on data that
-    are not finite or so large that the fit overflows, on non-convergence, or
-    on a degenerate (unbounded) estimate.
+    are not finite or so large that the fit overflows, on non-convergence, on a
+    degenerate (unbounded) estimate, or when the uncertainty exceeds the estimate.
     """
     points = np.asarray(points, dtype=float)
     if points.shape[0] < 5:
@@ -292,4 +292,7 @@ def _fit_decay(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         var = np.sum((vt[:, 1] / sv) ** 2) * cost / (len(u) - 5) if len(u) > 5 else np.inf
     if not np.isfinite(var) or t2_hat > 100:
         raise FitError("degenerate decay estimate (no decay within the data span)")
+    if var > t2_hat**2:  # the data do not resolve T2*: its one-sigma error exceeds it
+        raise FitError(f"unresolved decay estimate: T2* = {t2_hat * span:.3g} s "
+                       f"+- {np.sqrt(var) * span:.3g} s")
     return t2_hat * span, float(np.sqrt(var)) * span

@@ -20,7 +20,6 @@ from .protocol import CorrelatorSet, rotation_unitary
 GAMMA_E_HZ_PER_G = 2.8025e6  # electron gyromagnetic ratio
 GAMMA_N_HZ_PER_G = 307.7  # 14N nuclear gyromagnetic ratio
 
-_I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3, dtype=complex)
 
 # postselected electron-|0> levels |4>, |5>, |6> as 0-based indices
@@ -84,32 +83,14 @@ def _check_flip_prob(p: float | np.ndarray) -> None:
         raise ValueError(f"flip probability must be in [0, 1], got {p}")
 
 
-def _mean_gate(variant: int, q: np.ndarray, weights: np.ndarray):
-    """The gate averaged over flip probabilities ``q`` (last axis) with ``weights``.
-
-    Both unprotected subspaces flip independently with the same q, so one draw is
-    (1-q)^2 rho + q(1-q) (F1 rho F1 + F2 rho F2) + q^2 F12 rho F12: the average
-    needs only E[q] and E[q^2]. Leading axes of ``q`` broadcast against states.
-    """
-    m1 = (q @ weights)[..., None, None]
-    m2 = (q**2 @ weights)[..., None, None]
-
-    def apply(rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho)
-        f1, f2, f12 = (rho[..., f[:, None], f] for f in _FLIPS[variant - 1])
-        return (1 - 2 * m1 + m2) * rho + (m1 - m2) * (f1 + f2) + m2 * f12
-
-    return apply
-
-
 def controlled_gate(variant: int, p: float | np.ndarray):
     """Channel flipping the electron on nuclear states other than the protected one.
 
     ``variant`` 1..3 protects |+1>n, |0>n, |-1>n respectively. Each
     unprotected subspace is flipped independently with probability p
     (one selective MW pulse per subspace); the protected subspace is
-    untouched exactly and the channel is trace-preserving. It is the averaged
-    gate of ``population_table`` at E[q] = p, E[q^2] = p^2.
+    untouched exactly and the channel is trace-preserving:
+    (1-p)^2 rho + p(1-p) (F1 rho F1 + F2 rho F2) + p^2 F12 rho F12.
 
     ``p`` may be an array, every element in [0, 1]; the channel then maps a
     state, or a stack of states broadcast against it, to one state per
@@ -118,20 +99,33 @@ def controlled_gate(variant: int, p: float | np.ndarray):
     if not 1 <= variant <= 3:
         raise ValueError(f"controlled_gate variant must be 1..3, got {variant}")
     _check_flip_prob(p)
-    return _mean_gate(variant, np.asarray(p, dtype=float)[..., None], np.ones(1))
+    p = np.asarray(p, dtype=float)[..., None, None]
+    p2 = p**2
+
+    def apply(rho: np.ndarray) -> np.ndarray:
+        rho = np.asarray(rho)
+        f1, f2, f12 = (rho[..., f[:, None], f] for f in _FLIPS[variant - 1])
+        return (1 - 2 * p + p2) * rho + (p - p2) * (f1 + f2) + p2 * f12
+
+    return apply
+
+
+def _initial_populations(model: ImperfectionModel) -> tuple[np.ndarray, np.ndarray]:
+    """Electron (|1>e, |0>e) and nuclear (|+1>n, |0>n, |-1>n) populations after pumping.
+
+    Residual electron weight sits in |1>e; residual nuclear weight is split
+    evenly over |0>n and |-1>n.
+    """
+    p_e = np.array([1.0 - model.pol_e, model.pol_e])
+    return p_e, np.array([model.pol_n, (1.0 - model.pol_n) / 2, (1.0 - model.pol_n) / 2])
 
 
 def imperfect_initial_state(model: ImperfectionModel) -> np.ndarray:
-    """Six-level initial state after optical pumping with finite polarization.
-
-    Residual electron weight sits in |1>e; residual nuclear weight is split
-    evenly over |0>n and |-1>n. Perfect polarization gives the pure |4>.
+    """Six-level initial state after optical pumping with finite polarization:
+    the product of ``_initial_populations``. Perfect polarization gives the pure |4>.
     """
-    rho_e = np.diag([1.0 - model.pol_e, model.pol_e]).astype(complex)
-    rho_n = np.diag(
-        [model.pol_n, (1.0 - model.pol_n) / 2, (1.0 - model.pol_n) / 2]
-    ).astype(complex)
-    return np.kron(rho_e, rho_n)
+    p_e, d_n = _initial_populations(model)
+    return np.kron(np.diag(p_e), np.diag(d_n)).astype(complex)
 
 
 def run_inrm_experiment(
@@ -160,22 +154,42 @@ def run_inrm_experiment(
     return _inrm_populations(theta, (cg_variant,), model, mw_rabi, *ensemble)[0].copy()
 
 
+# per variant (4 runs no gate) and gate term (no flip, each single flip, both), the nuclear
+# states flipped; the terms weigh rho by (1 - 2 m1 + m2, m1 - m2, m1 - m2, m2), summing to 1
+_FLIPPED = np.array(
+    [[np.zeros(3, bool)] + [f[:3] != np.arange(3) for f in flips] for flips in _FLIPS]
+    + [np.zeros((4, 3), bool)],
+    dtype=float,
+)
+# per variant, (own, across) x (a, b) x term: a term keeps a manifold's own entry (a, b) when
+# neither state flips and takes the other manifold's when both do; mixed entries become
+# electron coherences, which the block-diagonal second rotation keeps off the diagonal
+_BLOCK_MASKS = np.stack(
+    [np.einsum("vta,vtb->vabt", s, s).reshape(4, 9, 4) for s in (1 - _FLIPPED, _FLIPPED)], axis=1
+)
+
+
 def _inrm_populations(theta, variants, model, mw_rabi, deltas, weights) -> np.ndarray:
     """Populations (len(variants), 6), the gate averaged over ``deltas`` with ``weights``.
 
-    U(theta, delta) = D(delta) (I2 (x) R3(theta)), D diagonal and constant on each
-    electron block; the initial state is diagonal, so D cancels before the gate and
-    on the electron-diagonal blocks the populations read: delta acts only through q.
+    U(theta, delta) = D(delta) (I2 (x) R(theta)), D diagonal and constant on each electron
+    block, and the initial state p_e (x) d_n is diagonal: D cancels, delta acts only through
+    the flip probability q, and after the first rotation electron manifold e holds
+    p_e N with N = R diag(d_n) R^dagger. The gate is the moment form over E[q] and E[q^2],
+    so manifold e ends with X_e = N * (p_e own + p_other across) (``_BLOCK_MASKS``)
+    and populations R X_e R^dagger on the diagonal.
     """
     q = np.full(deltas.shape, model.flip_prob_p)
     if mw_rabi is not None:
         q *= _pulse_flip_prob(deltas, mw_rabi)
     _check_flip_prob(q)
-    u = np.kron(_I2, rotation_unitary(theta, dim=3))  # nuclear rotation in both manifolds
-    u_dag = u.conj().T
-    rho = u @ imperfect_initial_state(model) @ u_dag
-    states = np.stack([rho if j == 4 else _mean_gate(j, q, weights)(rho) for j in variants])
-    return (u @ states @ u_dag).diagonal(axis1=-2, axis2=-1).real
+    m1, m2 = q @ weights, q**2 @ weights
+    masks = _BLOCK_MASKS[np.subtract(variants, 1)] @ [1 - 2 * m1 + m2, m1 - m2, m1 - m2, m2]
+    p_e, d_n = _initial_populations(model)
+    r = rotation_unitary(theta, dim=3)
+    x = np.array([p_e, p_e[::-1]]) @ masks * ((r * d_n) @ r.conj().T).ravel()
+    t = (r[:, :, None] * r.conj()[:, None, :]).reshape(3, 9)  # T[i, (a, b)] = R_ia conj(R_ib)
+    return (x @ t.T).real.reshape(len(variants), 6)
 
 
 def population_table(

@@ -232,6 +232,11 @@ NOT_YAML = "run.yaml is not valid YAML"
         (None, ["ideal", "--theta", "0.4pi", "--n", str(10**12)], EXIT_USAGE, "--n"),
         # from ~1e155 the fit's sum of squares overflows
         (None, ["characterize", "fid", "--noise", "1e160"], EXIT_NUMERICAL, "numerical failure:"),
+        # noise-dominated curves whose fitted T2* error exceeds the estimate
+        (None, ["characterize", "fid", "--noise", "1", "--points", "30", "--seed", "11"],
+         EXIT_NUMERICAL, "unresolved decay estimate"),
+        (None, ["characterize", "fid", "--noise", "1", "--points", "30", "--seed", "13"],
+         EXIT_NUMERICAL, "unresolved decay estimate"),
         (None, ["nv", "--t2-star", "inf"], EXIT_USAGE, "--t2-star"),
         (None, ["ideal", "--theta", "1", "--n", "2"], EXIT_USAGE, "--n"),
         (None, ["ideal", "--theta", "1", "--grid", "5"], EXIT_USAGE, "--grid"),
@@ -249,7 +254,8 @@ NOT_YAML = "run.yaml is not valid YAML"
         "cg-repeat-p-zero", "fid-delta-ref-alias", "fid-t2star-subnormal",
         "fid-t2star-subnormal-nodes", "odmr-points-huge", "fid-points-huge", "cg-repeat-kmax-huge",
         "odmr-points-int64-max",
-        *MALFORMED_YAML, "ideal-n-huge", "fid-noise-huge", "nv-t2-star-inf", "ideal-n-two",
+        *MALFORMED_YAML, "ideal-n-huge", "fid-noise-huge", "fid-unresolved-seed-11",
+        "fid-unresolved-seed-13", "nv-t2-star-inf", "ideal-n-two",
         "ideal-grid-five", "odmr-kmax-one", "yaml-pol-e-quoted", "yaml-n-samples-float",
         "yaml-pol-e-bool",
     ],
@@ -263,7 +269,7 @@ def test_bad_inputs_exit_cleanly(tmp_path, capsys, config, argv, expected, messa
         argv = ["nv", "--config", str(path)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main([*argv, "--seed", "1"])
+        code = main(argv if "--seed" in argv else [*argv, "--seed", "1"])
     out, err = capsys.readouterr()
     assert code == expected
     if expected == EXIT_OK:

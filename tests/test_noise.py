@@ -254,6 +254,18 @@ class TestFitGaussianDecay:
         with pytest.raises(ValueError):
             fit_gaussian_decay(np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("seed", [11, 13])
+    def test_unresolved_estimate_is_error(self, seed):
+        # readout noise as large as the signal over 30 points, as `characterize fid
+        # --noise 1 --points 30` draws it: the fit lands at T2* = 7.8e-3 +- 4.4e3 s (seed
+        # 11) and 3.9e-6 +- 6.4e-3 s (seed 13), an error larger than the estimate
+        curve = fid_curve(
+            ImperfectionModel(t2_star=T2, seed=seed), np.linspace(0.0, 2 * T2, 30),
+            delta_ref=50e3, readout_sigma=1.0, rng=np.random.default_rng(seed),
+        )
+        with pytest.raises(FitError, match="unresolved"):
+            fit_gaussian_decay(curve)
+
 
 def _curve_fit_t2(points):
     """T2* from scipy's curve_fit (MINPACK) with the fit's model, start and span units;

@@ -21,7 +21,7 @@ from nvlgi.nv import (
     repeated_cg,
     run_inrm_experiment,
 )
-from nvlgi.nv import _mean_gate  # the ensemble-averaged gate behind population_table
+from nvlgi.nv import _inrm_populations  # the block kernel behind population_table
 from nvlgi.protocol import UpdateRule, k3_protocol, rotation_unitary, standard_qutrit_scheme
 
 from conftest import random_density
@@ -170,17 +170,33 @@ class TestControlledGate:
 
     @settings(deadline=None)
     @given(
-        variant=st.integers(1, 3),
-        q=hnp.arrays(float, st.integers(1, 50), elements=st.floats(0.0, 1.0)),
+        model=noisy_models,
+        theta=thetas,
+        deltas=hnp.arrays(float, st.integers(1, 50), elements=st.floats(-1e6, 1e6)),
+        mw_rabi=st.none() | mw_rabis,
+        variants=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_weighted_mean_of_gates_is_moment_form(self, variant, q, seed):
-        rng = np.random.default_rng(seed)
-        rho = random_density(rng, 6)
-        weights = rng.uniform(0.1, 1.0, q.size)
+    def test_weighted_mean_of_gates_is_moment_form(
+        self, model, theta, deltas, mw_rabi, variants, seed
+    ):
+        # the kernel averages the gate through E[q] and E[q^2] on 3x3 nuclear blocks; the
+        # reference runs the 6x6 state through controlled_gate at every q and averages
+        weights = np.random.default_rng(seed).uniform(0.1, 1.0, deltas.size)
         weights /= weights.sum()
-        mean = np.einsum("s,sij->ij", weights, controlled_gate(variant, q)(rho))
-        assert np.abs(_mean_gate(variant, q, weights)(rho) - mean).max() < 1e-14
+        q = np.full(deltas.shape, model.flip_prob_p)
+        if mw_rabi is not None:
+            g = np.hypot(mw_rabi, deltas)
+            q *= (mw_rabi / g) ** 2 * np.sin(np.pi * g / (2 * mw_rabi)) ** 2
+        u = np.kron(np.eye(2), rotation_unitary(theta))
+        rho = u @ imperfect_initial_state(model) @ u.conj().T
+        states = [
+            rho if j == 4 else np.einsum("s,sij->ij", weights, controlled_gate(j, q)(rho))
+            for j in variants
+        ]
+        ref = np.array([np.diag(u @ state @ u.conj().T).real for state in states])
+        pops = _inrm_populations(theta, variants, model, mw_rabi, deltas, weights)
+        assert np.abs(pops - ref).max() < 1e-14
 
 
 class TestInrmExperiment:
@@ -205,6 +221,20 @@ class TestInrmExperiment:
     def test_rejects_bad_variant(self):
         with pytest.raises(ValueError):
             run_inrm_experiment(0.1, 0)
+
+    @settings(deadline=None)
+    @given(
+        model=noisy_models,
+        theta=thetas,
+        delta0=st.floats(-1e6, 1e6),
+        mw_rabi=st.none() | mw_rabis,
+    )
+    def test_single_variant_is_row_of_four_variant_kernel(self, model, theta, delta0, mw_rabi):
+        ensemble = np.array([delta0]), np.ones(1)
+        table = _inrm_populations(theta, (1, 2, 3, 4), model, mw_rabi, *ensemble)
+        for j in range(1, 5):
+            pops = run_inrm_experiment(theta, j, model, delta0, mw_rabi=mw_rabi)
+            assert np.abs(pops - table[j - 1]).max() <= 1e-15
 
     def test_columns_are_simplex(self, rng):
         for _ in range(5):
