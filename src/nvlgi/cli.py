@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import re
 import secrets
 import sys
 from datetime import datetime, timezone
@@ -399,6 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     for p in sub.choices.values():
         p.add_argument("--output", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
+        # argparse takes only -1 and -.5 forms for negative numbers, so "--theta -0.4pi"
+        # or "--delta-ref -5e3" would read the value as an unknown option; no flag starts
+        # with "-" and a digit, so any such word is a value
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

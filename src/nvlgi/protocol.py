@@ -235,24 +235,26 @@ def find_max_k3(
 ) -> tuple[float, float]:
     """Maximise K3(theta) over [0, pi] exactly: the best end point or root of K3'.
 
+    K3 has period 2 pi and degree <= 4 in theta, so the kernel at 9 equispaced
+    angles fixes it and K3' = 0 is a degree-8 root problem in exp(i theta).
     ``grid_points`` is accepted and checked (>= 100) but not used; the result
     does not depend on it. Deterministic; ties broken toward the smallest
     theta. Returns (theta_star, k3_max).
     """
     if grid_points < 100:
         raise ValueError("grid_points must be >= 100")
-    # U(theta) has entries of degree 1 in (cos theta, sin theta) for spin 1, which
-    # is degree 2 in theta/2, and of degree 1 in theta/2 for spin 1/2. Each K3 term
-    # is psi^dagger Q psi with psi at most two rotations applied to |0>, so for
-    # both dimensions K3 = sum_k c_k z^k, z = exp(i theta/2), |k| <= 8 (period
-    # 4 pi): 17 equispaced values give the c_k exactly, and K3' = 0 where
-    # sum_k k c_k z^(k+8) = 0. Every root is a candidate; K3 is evaluated exactly
-    # at each, so a spurious one cannot win.
-    nodes = 4 * np.pi * np.arange(17) / 17
-    c = np.fft.fftshift(np.fft.fft(sum(_lg_terms(nodes, 3, scheme)))) / 17
-    k = np.arange(-8, 9)
-    thetas = 2 * np.angle(np.roots((k * c)[::-1])) % (4 * np.pi)
+    # U(theta) has entries of degree 1 in (cos theta, sin theta) for spin 1 and in
+    # (cos theta/2, sin theta/2) for spin 1/2, where U(theta + 2 pi) = -U(theta).
+    # Each K3 term is psi^dagger Q psi with psi at most two rotations applied to
+    # |0>, so the sign cancels and K3 has period 2 pi: K3 = sum_j d_j z^j with
+    # z = exp(i theta), |j| <= 4 (<= 2 for spin 1/2). 9 equispaced values give the
+    # d_j exactly, and K3' = 0 where sum_j j d_j z^(j+4) = 0. Every root is a
+    # candidate, valued on the exact interpolant, so a spurious one cannot win.
+    nodes = 2 * np.pi * np.arange(9) / 9
+    d = np.fft.fftshift(np.fft.fft(sum(_lg_terms(nodes, 3, scheme)))) / 9
+    j = np.arange(-4, 5)
+    thetas = np.angle(np.roots((j * d)[::-1])) % (2 * np.pi)
     thetas = np.sort(np.concatenate(([0.0, np.pi], thetas[thetas <= np.pi])))
-    values = sum(_lg_terms(thetas, 3, scheme))
+    values = (np.exp(1j * np.outer(thetas, j)) @ d).real
     best = int(values.argmax())
     return float(thetas[best]), float(values[best])

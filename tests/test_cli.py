@@ -38,6 +38,26 @@ class TestThetaParsing:
         assert parse_theta("1.307") == pytest.approx(1.307)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ideal", "--theta", "-0.4pi"],
+        ["ideal", "--theta", "-1.2566"],
+        ["nv", "--theta", "-0.4pi"],
+        ["characterize", "fid", "--delta-ref", "-5e3"],
+        ["characterize", "odmr", "--delta-ref", "-5E+3"],
+    ],
+    ids=["theta-pi", "theta-radians", "nv-theta-pi", "fid-delta-ref-exponent",
+         "odmr-delta-ref-exponent"],
+)
+def test_negative_value_after_a_space_is_the_value(capsys, argv):
+    *head, flag, value = argv
+    spaced = run(capsys, *argv, "--seed", "1")
+    joined = run(capsys, *head, f"{flag}={value}", "--seed", "1")
+    assert spaced[0] == EXIT_OK
+    assert spaced == joined
+
+
 class TestIdealCommand:
     def test_maximum_point(self, capsys):
         code, out = run(capsys, "ideal", "--theta", "0.416pi", "--scheme", "neumann",

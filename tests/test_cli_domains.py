@@ -212,7 +212,11 @@ def test_in_domain_flags_never_make_a_usage_error(data, command):
         delta_ref = fraction * min(nyquist, sys.float_info.max)
         # a subnormal Nyquist frequency can round the fraction up to itself
         values["--delta-ref"] = repr(delta_ref if abs(delta_ref) < nyquist else 0.0)
-    argv = head(command) + ["--sweep"] * sweep + [f"{flag}={text}" for flag, text in values.items()]
+    # each flag written as flag=text or as two words: a negative value such as -5e3 or
+    # -0.4pi must not be taken for an option
+    spaced = data.draw(st.sets(st.sampled_from(sorted(values))), label="space-separated")
+    words = [[flag, text] if flag in spaced else [f"{flag}={text}"] for flag, text in values.items()]
+    argv = head(command) + ["--sweep"] * sweep + [word for pair in words for word in pair]
     assert_in_domain_run(argv)
 
 

@@ -298,6 +298,19 @@ class TestFindMaxK3:
         assert abs(theta_star - np.pi / 3) < 1e-12
         assert abs(k_max - 1.5) < 1e-12
 
+    def test_qutrit_von_neumann_closed_form(self):
+        # K3 = 1.5 + 2c - 4c^2 + 1.5c^4 in c = cos(theta), and K3' = 0 where
+        # (c - 1)(3c^2 + 3c - 1) = 0: the maximum sits at the root c = (sqrt(21) - 3)/6
+        c = (np.sqrt(21) - 3) / 6
+        theta_star, k_max = find_max_k3(VN)
+        assert abs(theta_star - np.arccos(c)) < 1e-14
+        assert abs(k_max - (1.5 + 2 * c - 4 * c**2 + 1.5 * c**4)) < 1e-14
+
+    @pytest.mark.parametrize("rule", list(UpdateRule))
+    def test_qubit_theta_star_is_pi_over_three_to_rounding(self, rule):
+        theta_star, _ = find_max_k3(standard_qubit_scheme(rule))
+        assert abs(theta_star - np.pi / 3) < 1e-14
+
     @pytest.mark.parametrize("name", sorted(STANDARD_SCHEMES))
     def test_result_does_not_depend_on_grid(self, name):
         scheme = STANDARD_SCHEMES[name]
@@ -457,6 +470,19 @@ class TestRotatedSchemes:
         for i, theta in enumerate(thetas):
             expected = _oracle_lg_terms(theta, n, scheme, False)
             assert np.abs(got[:, i] - expected).max() < 1e-12
+
+    @settings(deadline=None)
+    @given(rotated_schemes(), st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=1, max_size=8))
+    def test_k3_is_its_nine_node_interpolant_of_period_two_pi(self, scheme, thetas):
+        # the claim find_max_k3 rests on: K3 is a trigonometric polynomial of degree <= 4
+        # in theta, so its values at 9 equispaced nodes on [0, 2 pi) fix it everywhere
+        nodes = 2 * np.pi * np.arange(9) / 9
+        d = np.fft.fftshift(np.fft.fft(sum(_lg_terms(nodes, 3, scheme)))) / 9
+        thetas = np.array(thetas)
+        k3 = sum(_lg_terms(thetas, 3, scheme))
+        interpolant = (np.exp(1j * np.outer(thetas, np.arange(-4, 5))) @ d).real
+        assert np.abs(k3 - interpolant).max() < 1e-12
+        assert np.abs(k3 - sum(_lg_terms(thetas + 2 * np.pi, 3, scheme))).max() < 1e-12
 
     @settings(deadline=None)
     @given(rotated_schemes(), st.lists(st.floats(0.0, np.pi), max_size=8))
