@@ -16,9 +16,7 @@ from .nv import (
     DegeneratePostselectionError,
     NvModel,
     assemble_lg,
-    controlled_gate,
     fit_flip_probability,
-    imperfect_initial_state,
     lg_run,
     odmr_spectrum,
     population_table,
@@ -51,12 +49,10 @@ __all__ = [
     "UpdateRule",
     "analytic_correlators",
     "assemble_lg",
-    "controlled_gate",
     "fid_curve",
     "find_max_k3",
     "fit_flip_probability",
     "fit_gaussian_decay",
-    "imperfect_initial_state",
     "k3_protocol",
     "kn_string",
     "lg_run",

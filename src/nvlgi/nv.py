@@ -20,11 +20,6 @@ from .protocol import CorrelatorSet, rotation_unitary
 GAMMA_E_HZ_PER_G = 2.8025e6  # electron gyromagnetic ratio
 GAMMA_N_HZ_PER_G = 307.7  # 14N nuclear gyromagnetic ratio
 
-_I3 = np.eye(3, dtype=complex)
-
-# postselected electron-|0> levels |4>, |5>, |6> as 0-based indices
-POSTSELECT_IDX = (3, 4, 5)
-
 
 class DegeneratePostselectionError(RuntimeError):
     """Controlled gate cannot distinguish outcomes (e.g. flip probability 0)."""
@@ -68,46 +63,11 @@ class NvModel:
         return e[col] - e[3 + col]
 
 
-# per protected nuclear state: the electron flips (levels i <-> i+-3) on each unprotected
-# state and on both, as level permutations, so F rho F^T permutes rows and columns
-_FLIPS = tuple(
-    tuple(np.array([(i + 3 * (i % 3 in ms)) % 6 for i in range(6)]) for ms in ((a,), (b,), (a, b)))
-    for a, b in ((1, 2), (0, 2), (0, 1))
-)
-
-
 def _check_flip_prob(p: float | np.ndarray) -> None:
     """Raise unless every element of p is in [0, 1]; NaN fails."""
     p = np.asarray(p)
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"flip probability must be in [0, 1], got {p}")
-
-
-def controlled_gate(variant: int, p: float | np.ndarray):
-    """Channel flipping the electron on nuclear states other than the protected one.
-
-    ``variant`` 1..3 protects |+1>n, |0>n, |-1>n respectively. Each
-    unprotected subspace is flipped independently with probability p
-    (one selective MW pulse per subspace); the protected subspace is
-    untouched exactly and the channel is trace-preserving:
-    (1-p)^2 rho + p(1-p) (F1 rho F1 + F2 rho F2) + p^2 F12 rho F12.
-
-    ``p`` may be an array, every element in [0, 1]; the channel then maps a
-    state, or a stack of states broadcast against it, to one state per
-    element (shape ``p.shape + (6, 6)``).
-    """
-    if not 1 <= variant <= 3:
-        raise ValueError(f"controlled_gate variant must be 1..3, got {variant}")
-    _check_flip_prob(p)
-    p = np.asarray(p, dtype=float)[..., None, None]
-    p2 = p**2
-
-    def apply(rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho)
-        f1, f2, f12 = (rho[..., f[:, None], f] for f in _FLIPS[variant - 1])
-        return (1 - 2 * p + p2) * rho + (p - p2) * (f1 + f2) + p2 * f12
-
-    return apply
 
 
 def _initial_populations(model: ImperfectionModel) -> tuple[np.ndarray, np.ndarray]:
@@ -118,14 +78,6 @@ def _initial_populations(model: ImperfectionModel) -> tuple[np.ndarray, np.ndarr
     """
     p_e = np.array([1.0 - model.pol_e, model.pol_e])
     return p_e, np.array([model.pol_n, (1.0 - model.pol_n) / 2, (1.0 - model.pol_n) / 2])
-
-
-def imperfect_initial_state(model: ImperfectionModel) -> np.ndarray:
-    """Six-level initial state after optical pumping with finite polarization:
-    the product of ``_initial_populations``. Perfect polarization gives the pure |4>.
-    """
-    p_e, d_n = _initial_populations(model)
-    return np.kron(np.diag(p_e), np.diag(d_n)).astype(complex)
 
 
 def run_inrm_experiment(
@@ -154,11 +106,17 @@ def run_inrm_experiment(
     return _inrm_populations(theta, (cg_variant,), model, mw_rabi, *ensemble)[0].copy()
 
 
-# per variant (4 runs no gate) and gate term (no flip, each single flip, both), the nuclear
-# states flipped; the terms weigh rho by (1 - 2 m1 + m2, m1 - m2, m1 - m2, m2), summing to 1
+# the controlled gate: per variant and term, the nuclear states whose electron flips. Variant
+# v = 1..3 protects nuclear state v - 1 and flips each other one independently with probability
+# q; the terms (no flip, each single flip, both) weigh rho by 1 - 2 m1 + m2, m1 - m2, m1 - m2
+# and m2 for m1 = E[q], m2 = E[q^2]; variant 4 runs no gate
 _FLIPPED = np.array(
-    [[np.zeros(3, bool)] + [f[:3] != np.arange(3) for f in flips] for flips in _FLIPS]
-    + [np.zeros((4, 3), bool)],
+    [
+        [[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]],
+        [[0, 0, 0], [1, 0, 0], [0, 0, 1], [1, 0, 1]],
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    ],
     dtype=float,
 )
 # per variant, (own, across) x (a, b) x term: a term keeps a manifold's own entry (a, b) when
@@ -206,6 +164,8 @@ def population_table(
     not grow with ``n_samples``. ``t2_star`` without ``mw_rabi`` is checked but
     does not change the table. Raises ``DegeneratePostselectionError``
     for flip probability 0, where the postselected populations overcount every outcome.
+    That is a point guard, not a threshold: the table is continuous as p -> 0+ (nominal K3
+    at theta = 0.416 pi is 0.9509 at p = 1e-3 and 0.95 from p = 1e-8 to subnormal p).
     """
     model = imperfections or ImperfectionModel.ideal()
     if model.flip_prob_p == 0.0:
@@ -219,7 +179,20 @@ def population_table(
 
 def postselected_weights(table: np.ndarray) -> np.ndarray:
     """Per-variant probability retained by keeping levels |4>, |5>, |6>."""
-    return table[POSTSELECT_IDX, :].sum(axis=0)
+    return table[3:].sum(axis=0)
+
+
+# (q2, q2q3, q3) = _LG_SIGNS @ table[3:].ravel(), whose entries run over the kept levels
+# |4>, |5>, |6> (Q3 = +1, +1, -1), each across variants 1-4 (Q2 = +1, +1, -1 on the gated
+# columns, 0 on the gate-free one): q2 sums Q2, q2q3 sums Q2 Q3, q3 sums Q3 on variant 4
+_LG_SIGNS = np.array(
+    [
+        [1, 1, -1, 0, 1, 1, -1, 0, 1, 1, -1, 0],
+        [1, 1, -1, 0, 1, 1, -1, 0, -1, -1, 1, 0],
+        [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, -1],
+    ],
+    dtype=float,
+)
 
 
 def assemble_lg(table: np.ndarray) -> CorrelatorSet:
@@ -240,11 +213,8 @@ def assemble_lg(table: np.ndarray) -> CorrelatorSet:
         raise DegeneratePostselectionError(
             f"postselection impossible: per-variant weights {weights}"
         )
-    p4, p5, p6 = table[3], table[4], table[5]
-    q2 = (p4[0] + p5[0] + p6[0]) + (p4[1] + p5[1] + p6[1]) - (p4[2] + p5[2] + p6[2])
-    q2q3 = (p4[0] + p5[0] - p6[0]) + (p4[1] + p5[1] - p6[1]) - (p4[2] + p5[2] - p6[2])
-    q3 = p4[3] + p5[3] - p6[3]
-    return CorrelatorSet(q2_mean=float(q2), q2q3_mean=float(q2q3), q3_mean=float(q3))
+    q2, q2q3, q3 = (_LG_SIGNS @ table[3:].ravel()).tolist()
+    return CorrelatorSet(q2_mean=q2, q2q3_mean=q2q3, q3_mean=q3)
 
 
 def lg_run(
@@ -283,11 +253,14 @@ def odmr_spectrum(
     model = model or NvModel()
     freqs = np.asarray(freqs, dtype=float)
     lines = np.array([model.mw_transition(mi) for mi in (1, 0, -1)])
-    rho = np.kron(np.diag([0.0, 1.0]), _I3 / 3)
+    # per-nuclear-state electron populations before the sweep pulse: the gate moves
+    # weight p of each unprotected state's 1/3 from |0>e to |1>e
+    pop1 = np.zeros(3)
     if apply_cg:
-        rho = controlled_gate(cg_variant, p)(rho)
-    # per-nuclear-state electron populations before the sweep pulse
-    pop1, pop0 = np.diag(rho).real.reshape(2, 3)
+        if cg_variant not in (1, 2, 3):
+            raise ValueError(f"cg_variant must be 1..3, got {cg_variant}")
+        pop1 = p * _FLIPPED[cg_variant - 1, 3] / 3
+    pop0 = 1 / 3 - pop1
     flip = _pulse_flip_prob(freqs[:, None] - lines, mw_rabi)
     return np.column_stack([freqs, ((1 - flip) * pop0 + flip * pop1).sum(axis=1)])
 

@@ -22,7 +22,7 @@ from nvlgi.noise import (
     sample_detunings,
     sigma_from_t2star,
 )
-from nvlgi.nv import imperfect_initial_state
+from nvlgi.nv import population_table
 from nvlgi.protocol import rotation_unitary
 
 T2 = 62e-6
@@ -134,18 +134,17 @@ class TestHermiteRule:
 
 
 class TestInitialState:
+    # with no rotation and no gate (variant 4 at theta = 0) the populations are the
+    # initial state's diagonal
     def test_perfect_polarization(self):
-        rho = imperfect_initial_state(ImperfectionModel.ideal())
-        assert rho[3, 3].real == pytest.approx(1.0)
-        assert np.trace(rho).real == pytest.approx(1.0)
+        pops = population_table(0.0, ImperfectionModel.ideal())[:, 3]
+        assert pops[3] == pytest.approx(1.0)
+        assert pops.sum() == pytest.approx(1.0)
 
     def test_nominal_populations(self):
-        rho = imperfect_initial_state(ImperfectionModel(pol_e=0.95, pol_n=0.98))
-        assert rho[3, 3].real == pytest.approx(0.95 * 0.98)
-        assert rho[0, 0].real == pytest.approx(0.05 * 0.98)
-        assert rho[4, 4].real == pytest.approx(0.95 * 0.01)
-        assert np.abs(rho - np.diag(np.diag(rho))).max() == 0
-        assert np.trace(rho).real == pytest.approx(1.0)
+        pops = population_table(0.0, ImperfectionModel(pol_e=0.95, pol_n=0.98))[:, 3]
+        expected = [0.05 * 0.98, 0.05 * 0.01, 0.05 * 0.01, 0.95 * 0.98, 0.95 * 0.01, 0.95 * 0.01]
+        assert pops == pytest.approx(expected, abs=1e-15)
 
 
 class TestFidCurve:

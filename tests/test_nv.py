@@ -11,9 +11,7 @@ from nvlgi.nv import (
     DegeneratePostselectionError,
     NvModel,
     assemble_lg,
-    controlled_gate,
     fit_flip_probability,
-    imperfect_initial_state,
     lg_run,
     odmr_spectrum,
     population_table,
@@ -24,7 +22,7 @@ from nvlgi.nv import (
 from nvlgi.nv import _inrm_populations  # the block kernel behind population_table
 from nvlgi.protocol import UpdateRule, k3_protocol, rotation_unitary, standard_qutrit_scheme
 
-from conftest import random_density
+from conftest import random_density, six_level_gate, six_level_initial_state
 
 THETA_STAR = 0.416 * np.pi
 VN = standard_qutrit_scheme(UpdateRule.VON_NEUMANN)
@@ -43,12 +41,17 @@ thetas = st.floats(-2 * np.pi, 2 * np.pi)
 mw_rabis = st.floats(5e3, 2e6)
 
 
+def pulse_transfer(detuning, rabi):
+    """Square pi-pulse population transfer at a detuning (Hz)."""
+    g = np.hypot(rabi, detuning)
+    return (rabi / g) ** 2 * np.sin(np.pi * g / (2 * rabi)) ** 2
+
+
 def per_sample_population_table(theta, model, f_rabi, mw_rabi):
     """Reference: each detuning sample run on its own, summed with exact rounding."""
-    x = np.array([[0, 1], [1, 0]])
     u0 = np.kron(np.eye(2), rotation_unitary(theta))
     tau = theta / (np.sqrt(2) * np.pi * f_rabi)
-    rho0 = imperfect_initial_state(model)
+    rho0 = six_level_initial_state(model)
     samples = sample_detunings(model)
     table = np.zeros((6, 4))
     for j in range(1, 5):
@@ -59,14 +62,8 @@ def per_sample_population_table(theta, model, f_rabi, mw_rabi):
             if j != 4:
                 p = model.flip_prob_p
                 if mw_rabi is not None:
-                    g = np.hypot(mw_rabi, s.delta0)
-                    p *= (mw_rabi / g) ** 2 * np.sin(np.pi * g / (2 * mw_rabi)) ** 2
-                for m in range(3):
-                    if m != j - 1:
-                        pm = np.zeros((3, 3))
-                        pm[m, m] = 1.0
-                        f = np.kron(x, pm) + np.kron(np.eye(2), np.eye(3) - pm)
-                        rho = p * (f @ rho @ f.T) + (1 - p) * rho
+                    p *= pulse_transfer(s.delta0, mw_rabi)
+                rho = six_level_gate(j, p, rho)
             rho = u @ rho @ u.conj().T
             terms.append(s.weight * np.diag(rho).real)
         table[:, j - 1] = [math.fsum(t[i] for t in terms) for i in range(6)]
@@ -121,36 +118,27 @@ class TestHamiltonian:
 
 
 class TestControlledGate:
+    # self-checks of the tests' six-level oracle, then the kernel against it
     def test_full_flip_unprotected(self):
-        gate = controlled_gate(1, 1.0)
-        out = gate(level6(5))  # |0>e|0>n
+        out = six_level_gate(1, 1.0, level6(5))  # |0>e|0>n
         assert np.allclose(out, level6(2))  # -> |1>e|0>n
 
     def test_protected_state_untouched(self, rng):
-        gate = controlled_gate(1, 0.7)
         rho = np.zeros((6, 6), dtype=complex)
         block = random_density(rng, 2)  # electron coherence in the |+1>n subspace
         rho[np.ix_([0, 3], [0, 3])] = block
-        assert np.allclose(gate(rho), rho, atol=1e-15)
+        assert np.allclose(six_level_gate(1, 0.7, rho), rho, atol=1e-15)
 
     def test_partial_flip_probability(self):
-        out = controlled_gate(1, 0.995)(level6(5))
+        out = six_level_gate(1, 0.995, level6(5))
         assert out[1, 1].real == pytest.approx(0.995)
         assert out[4, 4].real == pytest.approx(0.005)
 
     def test_trace_preserving(self, rng):
         for _ in range(20):
             rho = random_density(rng, 6)
-            out = controlled_gate(2, rng.uniform(0, 1))(rho)
+            out = six_level_gate(2, rng.uniform(0, 1), rho)
             assert abs(np.trace(out).real - 1.0) < 1e-12
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            controlled_gate(5, 0.9)
-        with pytest.raises(ValueError):
-            controlled_gate(1, 1.2)
-        with pytest.raises(ValueError):
-            controlled_gate(1, np.array([0.5, np.nan]))
 
     @settings(deadline=None)
     @given(
@@ -161,12 +149,12 @@ class TestControlledGate:
     def test_array_p_channel_is_trace_preserving_and_positive(self, variant, p, seed):
         rng = np.random.default_rng(seed)
         rho = np.array([random_density(rng, 6) for _ in p])
-        out = controlled_gate(variant, p)(rho)
+        out = six_level_gate(variant, p, rho)
         assert out.shape == p.shape + (6, 6)
         assert np.abs(np.trace(out, axis1=1, axis2=2) - 1.0).max() < 1e-12
         assert np.linalg.eigvalsh(out).min() > -1e-12
         for pk, rk, ok in zip(p, rho, out):
-            assert np.array_equal(controlled_gate(variant, float(pk))(rk), ok)
+            assert np.array_equal(six_level_gate(variant, float(pk), rk), ok)
 
     @settings(deadline=None)
     @given(
@@ -181,17 +169,16 @@ class TestControlledGate:
         self, model, theta, deltas, mw_rabi, variants, seed
     ):
         # the kernel averages the gate through E[q] and E[q^2] on 3x3 nuclear blocks; the
-        # reference runs the 6x6 state through controlled_gate at every q and averages
+        # reference runs the 6x6 state through the oracle gate at every q and averages
         weights = np.random.default_rng(seed).uniform(0.1, 1.0, deltas.size)
         weights /= weights.sum()
         q = np.full(deltas.shape, model.flip_prob_p)
         if mw_rabi is not None:
-            g = np.hypot(mw_rabi, deltas)
-            q *= (mw_rabi / g) ** 2 * np.sin(np.pi * g / (2 * mw_rabi)) ** 2
+            q *= pulse_transfer(deltas, mw_rabi)
         u = np.kron(np.eye(2), rotation_unitary(theta))
-        rho = u @ imperfect_initial_state(model) @ u.conj().T
+        rho = u @ six_level_initial_state(model) @ u.conj().T
         states = [
-            rho if j == 4 else np.einsum("s,sij->ij", weights, controlled_gate(j, q)(rho))
+            rho if j == 4 else np.einsum("s,sij->ij", weights, six_level_gate(j, q, rho))
             for j in variants
         ]
         ref = np.array([np.diag(u @ state @ u.conj().T).real for state in states])
@@ -382,6 +369,13 @@ class TestLgRun:
         with pytest.raises(DegeneratePostselectionError):
             lg_run(THETA_STAR, ImperfectionModel(flip_prob_p=0.0))
 
+    def test_vanishing_flip_probability_is_continuous(self):
+        # the p = 0 refusal above is a point guard: K3 reaches its p -> 0+ limit smoothly
+        tiny, small = (lg_run(THETA_STAR, ImperfectionModel(flip_prob_p=p)).k3
+                       for p in (1e-300, 1e-100))
+        assert abs(tiny - small) < 1e-12
+        assert tiny == pytest.approx(0.95, abs=1e-12)
+
     def test_finite_duration_gate(self):
         model = ImperfectionModel(n_samples=21)
         instant = lg_run(THETA_STAR, model)
@@ -436,6 +430,29 @@ class TestOdmr:
         baseline = curve[0, 1]
         assert curve[j, 1] > baseline + 0.2
         assert curve[i, 1] < baseline
+
+    @settings(deadline=None)
+    @given(variant=st.integers(1, 3), p=st.floats(0.0, 1.0), mw_rabi=mw_rabis)
+    def test_gate_matches_six_level_oracle(self, variant, p, mw_rabi):
+        freqs, m = self.freqs()
+        lines = np.array([m.mw_transition(mi) for mi in (1, 0, -1)])
+        rho = six_level_gate(variant, p, np.kron(np.diag([0.0, 1.0]), np.eye(3) / 3))
+        pop1, pop0 = np.diag(rho).real.reshape(2, 3)
+        flip = pulse_transfer(freqs[:, None] - lines, mw_rabi)
+        ref = ((1 - flip) * pop0 + flip * pop1).sum(axis=1)
+        curve = odmr_spectrum(freqs, apply_cg=True, p=p, mw_rabi=mw_rabi, cg_variant=variant)
+        assert np.abs(curve[:, 1] - ref).max() < 1e-14
+
+    def test_rejects_bad_args(self):
+        freqs, _ = self.freqs()
+        with pytest.raises(ValueError):
+            odmr_spectrum(freqs, apply_cg=True, cg_variant=5)
+        with pytest.raises(ValueError):
+            odmr_spectrum(freqs, apply_cg=True, p=1.2)
+        with pytest.raises(ValueError):
+            odmr_spectrum(freqs, apply_cg=True, p=np.nan)
+        # the variant is read only when the gate runs
+        assert np.isfinite(odmr_spectrum(freqs, cg_variant=5)).all()
 
 
 class TestRepeatedCg:
